@@ -419,7 +419,7 @@ void BM_DistributeGatherBlocked(benchmark::State& state) {
       for (uint64_t base = 0; base < kCommTuples; base += kCommChunk) {
         for (uint64_t i = base; i < base + kCommChunk; ++i) {
           uint64_t wire[2] = {HashCombine(wid, i), i};
-          dist.Emit(head, wire);
+          dist.EmitBatch(head, wire, 1, 2);
         }
         dist.Flush();  // Every local iteration ships partial blocks.
         benchmark::DoNotOptimize(w.scratch.data());
@@ -492,13 +492,11 @@ void BM_LogHistogramAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_LogHistogramAdd);
 
-void EngineTraceBench(benchmark::State& state, bool trace,
-                      PipelineExecutor executor = PipelineExecutor::kBatch) {
+void EngineTraceBench(benchmark::State& state, bool trace) {
   EngineOptions opts;
   opts.num_workers = 4;
   opts.coordination = CoordinationMode::kDws;
   opts.enable_trace = trace;
-  opts.pipeline_executor = executor;
   const Graph g = GenerateGnp(300, 0.01, 17);
   for (auto _ : state) {
     DCDatalog db(opts);
@@ -522,14 +520,6 @@ void BM_EngineTcTraceOff(benchmark::State& state) {
   EngineTraceBench(state, false);
 }
 BENCHMARK(BM_EngineTcTraceOff)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// Same end-to-end TC run on the tuple-at-a-time ablation executor — the
-/// PR 5 execution path — so BENCH_PR6.json carries a same-machine
-/// batch-vs-tuple comparison that absolute-time drift cannot skew.
-void BM_EngineTcTupleExec(benchmark::State& state) {
-  EngineTraceBench(state, false, PipelineExecutor::kTuple);
-}
-BENCHMARK(BM_EngineTcTupleExec)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_EngineTcTraceOn(benchmark::State& state) {
   EngineTraceBench(state, true);
@@ -613,22 +603,22 @@ BENCHMARK(BM_EngineTcScratchRecompute)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Rule-pipeline executors ----------------------------------------------
+// --- Rule-pipeline executor -----------------------------------------------
 //
-// The batch-vs-tuple executor ablation on a representative filter + probe
-// rule, isolated from coordination and merging: 256K driving rows through
-// an int filter (~50% selectivity) and two hash-join probes (the shared key
-// variable X triggers the paper's hash-join heuristic), emissions counted
-// through each executor's non-allocating sink. Single-threaded on purpose —
-// the executors differ in per-lane instruction count and probe cache
-// behaviour, not in parallel structure. Throughput is driving tuples/sec;
-// BENCH_PR6.json pins batch ≥ 1.5x tuple on this workload.
+// The batch executor on a representative filter + probe rule, isolated from
+// coordination and merging: 256K driving rows through an int filter (~50%
+// selectivity) and two hash-join probes (the shared key variable X triggers
+// the paper's hash-join heuristic), emissions counted through the runner's
+// non-allocating sink. Single-threaded on purpose — this measures per-lane
+// instruction count and probe cache behaviour, not parallel structure.
+// Throughput is driving tuples/sec; scripts/run_bench_smoke.sh --check-pr6
+// gates it against BENCH_PR6.json.
 
 constexpr uint32_t kPipeSrcRows = 1u << 18;
 constexpr uint32_t kPipeKeySpace = 1u << 19;  // Filter keeps X < 2^18: ~50%.
 
 /// Planner-compiled filter+probe rule plus everything needed to run it,
-/// built once and shared by both executor benchmarks.
+/// built once per process.
 struct PipelineBenchSetup {
   Catalog catalog;
   StringDict dict;
@@ -637,7 +627,6 @@ struct PipelineBenchSetup {
   const PhysicalRule* rule = nullptr;
   std::unique_ptr<BaseIndexSet> indexes;
   std::vector<std::unique_ptr<RecursiveTable>> no_replicas;
-  std::vector<uint64_t> regs;
   PipelineContext ctx;
 
   bool Init() {
@@ -680,14 +669,11 @@ struct PipelineBenchSetup {
     ctx.catalog = &catalog;
     ctx.base_indexes = indexes.get();
     ctx.replicas = &no_replicas;
-    regs.assign(rule->num_regs, 0);
-    ctx.regs = regs.data();
     PreparePipeline(*rule, &ctx);
     return true;
   }
 
-  /// Leaky singleton: built on first use, shared by both executor
-  /// benchmarks; nullptr when setup failed.
+  /// Leaky singleton: built on first use; nullptr when setup failed.
   static PipelineBenchSetup* Get() {
     static PipelineBenchSetup* setup = [] {
       auto* s = new PipelineBenchSetup();
@@ -701,10 +687,8 @@ struct PipelineBenchSetup {
   }
 };
 
-/// Counting sink shared by both executors; the tuple side pays the same
-/// BuildWireTuple the engine's per-derivation thunk does.
+/// Counting sink for the batch executor's emitted wire tuples.
 struct PipelineCountSink {
-  const PhysicalRule* rule = nullptr;
   uint64_t count = 0;
   uint64_t checksum = 0;
 
@@ -717,35 +701,7 @@ struct PipelineCountSink {
       s->checksum ^= wires[static_cast<size_t>(i) * wire_arity];
     }
   }
-
-  static void Tuple(void* c, const uint64_t* regs) {
-    auto* s = static_cast<PipelineCountSink*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(s->rule->head, regs, wire);
-    ++s->count;
-    s->checksum ^= wire[0];
-  }
 };
-
-void BM_PipelineTuple(benchmark::State& state) {
-  PipelineBenchSetup* setup = PipelineBenchSetup::Get();
-  if (setup == nullptr) {
-    state.SkipWithError("pipeline bench setup failed");
-    return;
-  }
-  const Relation* src = setup->catalog.Find("src");
-  for (auto _ : state) {
-    PipelineCountSink sink;
-    sink.rule = setup->rule;
-    const EmitSink emit{&PipelineCountSink::Tuple, &sink};
-    for (uint64_t r = 0; r < src->size(); ++r) {
-      RunPipelineForTuple(*setup->rule, setup->ctx, src->Row(r), emit);
-    }
-    benchmark::DoNotOptimize(sink.checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * kPipeSrcRows);
-}
-BENCHMARK(BM_PipelineTuple)->Unit(benchmark::kMillisecond);
 
 void BM_PipelineBatch(benchmark::State& state) {
   PipelineBenchSetup* setup = PipelineBenchSetup::Get();

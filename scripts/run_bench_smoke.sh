@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Consolidated bench-smoke matrix for every committed ablation baseline:
 #   PR 5  — flat-vs-btree merge backends (Table 4 axis)
-#   PR 6  — batch-vs-tuple rule-pipeline executors
+#   PR 6  — batch rule-pipeline executor throughput (the tuple-at-a-time
+#           baseline it was compared against is retired; its last numbers
+#           stay in the committed BENCH_PR6.json)
 #   PR 7  — incremental-vs-recompute maintenance pair
 #   PR 10 — morsel-steal on/off on a hub-skewed TC plus a uniform control
 # One micro_components run feeds the PR 5/6/7 JSONs; one fig_skew run
@@ -92,11 +94,11 @@ RAW10="$(mktemp)"
 trap 'rm -f "$RAW" "$RAW10"' EXIT
 
 # One process, one JSON: the 1M-tuple kNone dedup merge on both backends,
-# the min-merge ablation trio plus its flat twin, both rule-pipeline
-# executors on the filter+probe workload, the incremental-vs-recompute TC
+# the min-merge ablation trio plus its flat twin, the batch rule-pipeline
+# executor on the filter+probe workload, the incremental-vs-recompute TC
 # maintenance pair, and the end-to-end TC run.
 "$BENCH" \
-  --benchmark_filter='BM_MergeNone(Flat|Btree)|BM_MergeMin(Indexed|IndexedNoCache|LinearScan|Flat)$|BM_Pipeline(Tuple|Batch)$|BM_EngineTcTraceOff|BM_EngineTcTupleExec|BM_EngineTcIncrementalInsert|BM_EngineTcScratchRecompute' \
+  --benchmark_filter='BM_MergeNone(Flat|Btree)|BM_MergeMin(Indexed|IndexedNoCache|LinearScan|Flat)$|BM_PipelineBatch$|BM_EngineTcTraceOff|BM_EngineTcIncrementalInsert|BM_EngineTcScratchRecompute' \
   --benchmark_format=json --benchmark_out="$RAW" \
   --benchmark_out_format=json >&2
 
@@ -158,20 +160,14 @@ with open(out_path, "w") as f:
 print(json.dumps(result, indent=2))
 
 batch = mtps("BM_PipelineBatch")
-tuple_ = mtps("BM_PipelineTuple")
 result6 = {
-    "bench": "pipeline-executor ablation (PR 6)",
+    "bench": "batch pipeline executor (PR 6)",
     "workload": "256K driving rows through an int filter (~50% "
                 "selectivity) and two hash-join probes, single-threaded; "
                 "throughput in driving Mtuples/s",
     "pipeline_batch_mtps": batch,
-    "pipeline_tuple_mtps": tuple_,
-    "batch_over_tuple": round(batch / tuple_, 2) if batch and tuple_ else None,
-    # Same-machine end-to-end TC (gnp:300:0.01, 4 workers, DWS) on each
-    # executor; the batch number is the headline, the tuple number is the
-    # PR 5 execution path re-measured under today's machine conditions.
+    # End-to-end TC (gnp:300:0.01, 4 workers, DWS).
     "end_to_end_tc_ms": ms("BM_EngineTcTraceOff"),
-    "end_to_end_tc_tuple_ms": ms("BM_EngineTcTupleExec"),
 }
 with open(out6_path, "w") as f:
     json.dump(result6, f, indent=2)

@@ -27,26 +27,6 @@ const char* MergeIndexBackendName(MergeIndexBackend backend) {
   return "unknown";
 }
 
-const char* PipelineExecutorName(PipelineExecutor executor) {
-  switch (executor) {
-    case PipelineExecutor::kBatch:
-      return "batch";
-    case PipelineExecutor::kTuple:
-      return "tuple";
-  }
-  return "unknown";
-}
-
-const char* NumaModeName(NumaMode mode) {
-  switch (mode) {
-    case NumaMode::kAuto:
-      return "auto";
-    case NumaMode::kOff:
-      return "off";
-  }
-  return "unknown";
-}
-
 EngineOptions EngineOptions::Resolved() const {
   EngineOptions out = *this;
   if (out.num_workers == 0) {
@@ -69,9 +49,7 @@ std::string EngineOptions::ToString() const {
      << ", agg_index=" << (enable_aggregate_index ? "on" : "off")
      << ", exist_cache=" << (enable_existence_cache ? "on" : "off")
      << ", merge_backend=" << MergeIndexBackendName(merge_index_backend)
-     << ", pipeline=" << PipelineExecutorName(pipeline_executor)
      << ", steal=" << (enable_steal ? "on" : "off")
-     << ", numa=" << NumaModeName(numa)
      << ", trace=" << (enable_trace ? "on" : "off") << "}";
   return os.str();
 }

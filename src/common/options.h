@@ -27,29 +27,6 @@ enum class MergeIndexBackend : uint8_t {
 
 const char* MergeIndexBackendName(MergeIndexBackend backend);
 
-/// Which rule-pipeline executor the workers run (§5.2).
-enum class PipelineExecutor : uint8_t {
-  kBatch = 0,  // Vectorized batch-at-a-time: columnar register banks,
-               // selection vectors, prefetch-pipelined probes — the hot
-               // path (runtime/batch_pipeline.h).
-  kTuple = 1,  // The original depth-first tuple-at-a-time executor; kept as
-               // the ablation baseline and differential-fuzzing cross-check.
-};
-
-const char* PipelineExecutorName(PipelineExecutor executor);
-
-/// NUMA placement policy for engine-owned worker threads.
-enum class NumaMode : uint8_t {
-  kAuto = 0,  // Probe /sys/devices/system/node; on multi-socket machines pin
-              // workers breadth-first across nodes so first-touch replica /
-              // ring / staging allocations land socket-local. Single-socket
-              // machines (and pool-scheduled gangs) degrade to kOff.
-  kOff = 1,   // Never pin; leave placement to the OS scheduler (ablation
-              // baseline).
-};
-
-const char* NumaModeName(NumaMode mode);
-
 /// Engine-wide tuning knobs. Defaults reproduce the configuration the paper
 /// evaluates (DWS with all §6 optimizations on).
 struct EngineOptions {
@@ -65,9 +42,6 @@ struct EngineOptions {
   /// DWS deadlock-avoidance timeout (Algorithm 2 line 8): a waiting worker
   /// resumes unconditionally after this many microseconds.
   uint32_t dws_timeout_us = 2000;
-
-  /// Upper bound DWS places on a single wait slice, microseconds.
-  uint32_t dws_max_wait_slice_us = 200;
 
   /// Per-(producer, consumer) SPSC ring capacity in tuples (§6.1).
   uint32_t spsc_capacity = 1 << 14;
@@ -90,11 +64,6 @@ struct EngineOptions {
   /// (`--merge-index-backend=btree` reproduces the pre-flat numbers).
   MergeIndexBackend merge_index_backend = MergeIndexBackend::kFlat;
 
-  /// §5.2 rule-pipeline executor. Batch-at-a-time is the default hot path;
-  /// the tuple-at-a-time executor survives as the ablation baseline
-  /// (`--pipeline-executor=tuple` reproduces the pre-batch numbers).
-  PipelineExecutor pipeline_executor = PipelineExecutor::kBatch;
-
   /// Existence-cache slots per worker (direct-mapped).
   uint32_t existence_cache_slots = 1 << 15;
 
@@ -114,10 +83,6 @@ struct EngineOptions {
   /// morsels. 0 = adaptive: derived from the live DWS ω estimate so uniform
   /// workloads, where every worker has comparable backlog, publish nothing.
   uint64_t steal_min_backlog = 0;
-
-  /// NUMA placement policy. Only affects engine-spawned dedicated threads;
-  /// pool-scheduled gangs are never re-pinned.
-  NumaMode numa = NumaMode::kAuto;
 
   /// Safety valve for non-terminating programs; 0 = unlimited.
   uint64_t max_global_iterations = 0;

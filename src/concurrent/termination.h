@@ -25,9 +25,13 @@ namespace dcdatalog {
 ///    tuple to every ~hundred tuples without weakening the invariant: the
 ///    counters always describe whole blocks, which are the only unit that
 ///    ever sits in a ring.
-///  * A consumer calls AddConsumed(self, n) with the tuple total of the
-///    blocks it drained and Deactivate(self) only once it holds no
-///    unprocessed tuples.
+///  * A consumer calls OnBlocksDrained(self, n) with the tuple total of the
+///    blocks it drained — Activate(self) followed by AddConsumed(self, n) —
+///    and Deactivate(self) only once it holds no unprocessed tuples. The
+///    activation matters for a parked consumer (flag already cleared): if
+///    its consumed count rose first, a concurrent round could see balanced
+///    counts and every flag clear while the drained tuples are still being
+///    merged, and latch Done before the work they create exists.
 ///  * Self-loop tuples (emitter == destination) never touch the detector:
 ///    they are local state by the time the emitting iteration's Flush
 ///    returns, exactly like a delta row the worker derived for itself.
@@ -73,6 +77,13 @@ class TerminationDetector {
   void OnBlockPushed(uint32_t dest, uint64_t n) {
     AddProduced(n);
     Activate(dest);
+  }
+
+  /// Consumer-side update for `n` drained tuples: re-activates the
+  /// consumer, then raises its consumed count (see the protocol above).
+  void OnBlocksDrained(uint32_t worker, uint64_t n) {
+    Activate(worker);
+    AddConsumed(worker, n);
   }
 
   /// Stolen-morsel accounting (docs/INTERNALS.md §11). A published morsel of

@@ -17,7 +17,6 @@
 #include "common/hash.h"
 #include "common/hot_path.h"
 #include "common/logging.h"
-#include "common/numa_topology.h"
 #include "common/timer.h"
 #include "concurrent/barrier.h"
 #include "concurrent/spsc_queue.h"
@@ -138,18 +137,14 @@ class SccExecutor {
     per_queue_blocks_ =
         std::max<uint32_t>(8, per_queue_tuples / (kMsgBlockWords / 2));
     // Rings are NOT built here: each worker constructs its own inbound
-    // column at WorkerMain start so the ring slots (value-semantics
-    // MsgBlocks, the bulk of the grid's memory) are first-touch local to
-    // their consumer's NUMA node; the startup barrier publishes them
-    // before any producer can push (docs/INTERNALS.md §11).
+    // column at WorkerMain start, so the ring slots (value-semantics
+    // MsgBlocks, the bulk of the grid's memory) are allocated in parallel
+    // and first touched by the thread that drains them; the startup
+    // barrier publishes them before any producer can push.
     queues_.resize(static_cast<size_t>(n_) * n_);
     steal_boards_.reserve(n_);
     for (uint32_t i = 0; i < n_; ++i) {
       steal_boards_.push_back(std::make_unique<StealBoard>());
-    }
-    if (options_.numa == NumaMode::kAuto &&
-        options_.worker_pool == nullptr && n_ > 1) {
-      numa_topo_ = NumaTopology::Probe();
     }
     worker_replicas_.resize(n_);
     worker_stats_.resize(n_);
@@ -211,10 +206,9 @@ class SccExecutor {
     uint32_t wid = 0;
     SccExecutor* exec = nullptr;
     std::vector<std::unique_ptr<RecursiveTable>>* replicas = nullptr;
-    std::vector<uint64_t> regs;
     /// Batch-at-a-time executor state (columnar banks, selection vectors);
     /// reused across rules and iterations so steady-state batches never
-    /// allocate. Untouched under --pipeline-executor=tuple.
+    /// allocate.
     BatchPipelineRunner batch_runner;
     std::unique_ptr<Distributor> distributor;
     DwsController dws;
@@ -297,21 +291,12 @@ class SccExecutor {
   }
 
   void WorkerMain(uint32_t wid) {
-    // NUMA placement first, before any allocation: the replicas, register
-    // banks, distributor staging blocks, and this worker's inbound rings
-    // are all first-touched below, so pinning here makes every one of them
-    // node-local. Dedicated threads only — a shared pool's threads serve
-    // many sessions and are never re-pinned. Single-node topologies make
-    // this a no-op (MultiNode is false).
-    if (numa_topo_.MultiNode()) {
-      PinThreadToNode(numa_topo_, numa_topo_.NodeForWorker(wid));
-    }
     // Consumer-local ring construction: worker w builds its own inbound
-    // column (queues_[j*n + w] for all j), so ring slots — the 2 KiB block
-    // array each queue owns — live on the consumer's node and a producer's
-    // push is the only cross-socket transfer, always a whole block. The
-    // barrier publishes the unique_ptr stores (release on arrival, acquire
-    // on departure) before any producer can route a tuple.
+    // column (queues_[j*n + w] for all j), so the 2 KiB block arrays each
+    // queue owns are allocated in parallel and first touched by the worker
+    // that drains them. The barrier publishes the unique_ptr stores
+    // (release on arrival, acquire on departure) before any producer can
+    // route a tuple.
     for (uint32_t j = 0; j < n_; ++j) {
       queues_[static_cast<size_t>(j) * n_ + wid] =
           std::make_unique<BlockQueue>(per_queue_blocks_);
@@ -367,19 +352,6 @@ class SccExecutor {
         if (hint > 0) replicas[r]->ReserveHint(hint / n_ + 1);
       }
     }
-
-    // Register scratch sized for the widest rule.
-    uint32_t max_regs = 1;
-    for (const PhysicalRule& r : scc_.base_rules) {
-      max_regs = std::max(max_regs, r.num_regs);
-    }
-    for (const PhysicalRule& r : scc_.delta_rules) {
-      max_regs = std::max(max_regs, r.num_regs);
-    }
-    for (const PhysicalRule& r : scc_.update_rules) {
-      max_regs = std::max(max_regs, r.num_regs);
-    }
-    ctx.regs.assign(max_regs, 0);
 
     // Sink thunks take the WorkerContext through the {fn, ctx} pair — ctx
     // lives on this frame for the whole SCC run, and carries the exec
@@ -446,21 +418,8 @@ class SccExecutor {
     ws.tuples_stolen = ctx.tuples_stolen;
   }
 
-  /// Non-allocating emit thunks (EmitSink / BatchEmitSink): plain function
-  /// pointers plus a stack-held context, replacing the old per-rule
-  /// capturing std::function.
-  struct RuleEmitCtx {
-    WorkerContext* ctx;
-    const PhysicalRule* rule;
-  };
-
-  DCD_HOT_ROOT static void EmitTupleThunk(void* c, const uint64_t* regs) {
-    auto* e = static_cast<RuleEmitCtx*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(e->rule->head, regs, wire);
-    e->ctx->distributor->Emit(e->rule->head, wire);
-  }
-
+  /// Non-allocating emit thunk (BatchEmitSink): a plain function pointer
+  /// plus the emitting worker's context, not a capturing std::function.
   DCD_HOT_ROOT static void EmitBatchThunk(void* c, const HeadSpec& head,
                                           const uint64_t* wires,
                                           uint32_t count,
@@ -492,23 +451,12 @@ class SccExecutor {
     pctx.catalog = catalog_;
     pctx.base_indexes = base_indexes_;
     pctx.replicas = ctx->replicas;
-    pctx.regs = ctx->regs.data();
 
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
+    const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.base_rules) {
       PreparePipeline(rule, &pctx);
-      RuleEmitCtx ectx{ctx, &rule};
-      const EmitSink emit{&EmitTupleThunk, &ectx};
-      const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
       if (rule.driving_is_unit) {
-        if (ctx->wid == 0) {
-          if (batch) {
-            ctx->batch_runner.RunUnit(rule, &pctx, batch_emit);
-          } else {
-            RunPipelineUnit(rule, pctx, emit);
-          }
-        }
+        if (ctx->wid == 0) ctx->batch_runner.RunUnit(rule, &pctx, batch_emit);
         continue;
       }
       const Relation* rel = catalog_->Find(rule.driving_relation);
@@ -516,17 +464,11 @@ class SccExecutor {
       const uint64_t size = rel->size();
       const uint64_t begin = size * ctx->wid / n_;
       const uint64_t end = size * (ctx->wid + 1) / n_;
-      if (batch) {
-        ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-        for (uint64_t r = begin; r < end; ++r) {
-          ctx->batch_runner.Push(rel->Row(r));
-        }
-        ctx->batch_runner.Finish();
-      } else {
-        for (uint64_t r = begin; r < end; ++r) {
-          RunPipelineForTuple(rule, pctx, rel->Row(r), emit);
-        }
+      ctx->batch_runner.Begin(rule, &pctx, batch_emit);
+      for (uint64_t r = begin; r < end; ++r) {
+        ctx->batch_runner.Push(rel->Row(r));
       }
+      ctx->batch_runner.Finish();
     }
   }
 
@@ -541,10 +483,8 @@ class SccExecutor {
     pctx.catalog = catalog_;
     pctx.base_indexes = base_indexes_;
     pctx.replicas = ctx->replicas;
-    pctx.regs = ctx->regs.data();
 
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
+    const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.update_rules) {
       DCD_COLD_CALL("catalog lookup once per update rule per batch, never per driven row");
       const Relation* rel = catalog_->Find(rule.driving_relation);
@@ -557,42 +497,23 @@ class SccExecutor {
       }
       if (wm >= size) continue;
       PreparePipeline(rule, &pctx);
-      RuleEmitCtx ectx{ctx, &rule};
-      const EmitSink emit{&EmitTupleThunk, &ectx};
-      const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
+      ctx->batch_runner.Begin(rule, &pctx, batch_emit);
       if (rule.update_partition_col >= 0) {
         const uint32_t col = static_cast<uint32_t>(rule.update_partition_col);
-        if (batch) {
-          ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-          for (uint64_t r = wm; r < size; ++r) {
-            TupleRef row = rel->Row(r);
-            if (PartitionOf(row.data[col], n_) != ctx->wid) continue;
-            ctx->batch_runner.Push(row);
-          }
-          ctx->batch_runner.Finish();
-        } else {
-          for (uint64_t r = wm; r < size; ++r) {
-            TupleRef row = rel->Row(r);
-            if (PartitionOf(row.data[col], n_) != ctx->wid) continue;
-            RunPipelineForTuple(rule, pctx, row, emit);
-          }
+        for (uint64_t r = wm; r < size; ++r) {
+          TupleRef row = rel->Row(r);
+          if (PartitionOf(row.data[col], n_) != ctx->wid) continue;
+          ctx->batch_runner.Push(row);
         }
       } else {
         const uint64_t fresh = size - wm;
         const uint64_t begin = wm + fresh * ctx->wid / n_;
         const uint64_t end = wm + fresh * (ctx->wid + 1) / n_;
-        if (batch) {
-          ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-          for (uint64_t r = begin; r < end; ++r) {
-            ctx->batch_runner.Push(rel->Row(r));
-          }
-          ctx->batch_runner.Finish();
-        } else {
-          for (uint64_t r = begin; r < end; ++r) {
-            RunPipelineForTuple(rule, pctx, rel->Row(r), emit);
-          }
+        for (uint64_t r = begin; r < end; ++r) {
+          ctx->batch_runner.Push(rel->Row(r));
         }
       }
+      ctx->batch_runner.Finish();
     }
   }
 
@@ -636,7 +557,7 @@ class SccExecutor {
       }
     }
     if (total > 0) {
-      detector_.AddConsumed(ctx->wid, total);
+      detector_.OnBlocksDrained(ctx->wid, total);
       ctx->metrics.drain_batch.Add(total);
       ctx->Instant(TraceEventKind::kDrain, total, scc_ordinal_);
     }
@@ -740,7 +661,7 @@ class SccExecutor {
   /// strictly read-only, and emitting through the CALLING worker's own
   /// Distributor so derived tuples take the normal partition routing and
   /// merge ownership never moves. Alloc-free on the steady path: the
-  /// caller's register bank and batch runner are reused, and
+  /// caller's batch runner is reused, and
   /// PreparePipeline's catalog lookup short-circuits for index-join rules
   /// exactly as in LocalIteration.
   DCD_HOT_ROOT void RunMorsel(WorkerContext* ctx,
@@ -751,27 +672,16 @@ class SccExecutor {
     pctx.catalog = catalog_;
     pctx.base_indexes = base_indexes_;
     pctx.replicas = tables;
-    pctx.regs = ctx->regs.data();
     const uint32_t arity = (*tables)[m.replica]->stored_arity();
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
+    const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (int rule_idx : scc_.delta_rules_by_replica[m.replica]) {
       const PhysicalRule& rule = scc_.delta_rules[rule_idx];
       PreparePipeline(rule, &pctx);
-      if (batch) {
-        const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
-        ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-        for (uint32_t t = m.begin; t < m.end; ++t) {
-          ctx->batch_runner.Push((*m.snapshot)[t].Ref(arity));
-        }
-        ctx->batch_runner.Finish();
-      } else {
-        RuleEmitCtx ectx{ctx, &rule};
-        const EmitSink emit{&EmitTupleThunk, &ectx};
-        for (uint32_t t = m.begin; t < m.end; ++t) {
-          RunPipelineForTuple(rule, pctx, (*m.snapshot)[t].Ref(arity), emit);
-        }
+      ctx->batch_runner.Begin(rule, &pctx, batch_emit);
+      for (uint32_t t = m.begin; t < m.end; ++t) {
+        ctx->batch_runner.Push((*m.snapshot)[t].Ref(arity));
       }
+      ctx->batch_runner.Finish();
     }
   }
 
@@ -948,10 +858,8 @@ class SccExecutor {
     pctx.catalog = catalog_;
     pctx.base_indexes = base_indexes_;
     pctx.replicas = ctx->replicas;
-    pctx.regs = ctx->regs.data();
 
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
+    const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.delta_rules) {
       const size_t dr = rule.driving_replica;
       const auto& snapshot = snapshots[dr];
@@ -965,39 +873,21 @@ class SccExecutor {
       const bool top_up =
           pubs > 0 && scc_.delta_rules_by_replica[dr].size() == 1;
       const uint64_t chunk = options_.steal_morsel_tuples;
-      if (batch) {
-        const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
-        ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-        uint64_t t = 0;
-        while (t < ctx->steal_limit[dr]) {
-          // steal_limit shrinks under TopUpMorsels, so re-read per chunk.
-          const uint64_t stop =
-              top_up ? std::min(ctx->steal_limit[dr], t + chunk)
-                     : ctx->steal_limit[dr];
-          for (; t < stop; ++t) {
-            ctx->batch_runner.Push(snapshot[t].Ref(arity));
-          }
-          if (top_up && t < ctx->steal_limit[dr]) {
-            pubs = TopUpMorsels(ctx, snapshot, dr, t, pubs);
-          }
+      ctx->batch_runner.Begin(rule, &pctx, batch_emit);
+      uint64_t t = 0;
+      while (t < ctx->steal_limit[dr]) {
+        // steal_limit shrinks under TopUpMorsels, so re-read per chunk.
+        const uint64_t stop =
+            top_up ? std::min(ctx->steal_limit[dr], t + chunk)
+                   : ctx->steal_limit[dr];
+        for (; t < stop; ++t) {
+          ctx->batch_runner.Push(snapshot[t].Ref(arity));
         }
-        ctx->batch_runner.Finish();
-      } else {
-        RuleEmitCtx ectx{ctx, &rule};
-        const EmitSink emit{&EmitTupleThunk, &ectx};
-        uint64_t t = 0;
-        while (t < ctx->steal_limit[dr]) {
-          const uint64_t stop =
-              top_up ? std::min(ctx->steal_limit[dr], t + chunk)
-                     : ctx->steal_limit[dr];
-          for (; t < stop; ++t) {
-            RunPipelineForTuple(rule, pctx, snapshot[t].Ref(arity), emit);
-          }
-          if (top_up && t < ctx->steal_limit[dr]) {
-            pubs = TopUpMorsels(ctx, snapshot, dr, t, pubs);
-          }
+        if (top_up && t < ctx->steal_limit[dr]) {
+          pubs = TopUpMorsels(ctx, snapshot, dr, t, pubs);
         }
       }
+      ctx->batch_runner.Finish();
     }
     if (pubs > 0) ResolveMorsels(ctx, pubs);
     ctx->distributor->Flush();
@@ -1149,6 +1039,10 @@ class SccExecutor {
       // emitting zero-length kDwsWait spans.
       bool waited = false;
       if (delta > 0 && delta < static_cast<uint64_t>(ctx->dws.omega())) {
+        // Upper bound on one sleep between ring re-checks: short enough
+        // that arriving input ends the wait promptly, long enough not to
+        // spin.
+        constexpr auto kMaxWaitSlice = std::chrono::microseconds(200);
         const int64_t budget_ns =
             static_cast<int64_t>(options_.dws_timeout_us) * 1000;
         const int64_t wait_start = MonotonicNanos();
@@ -1168,8 +1062,7 @@ class SccExecutor {
             // a bigger batch.
             DCD_COLD_CALL("DWS τ-capped wait slice is the strategy itself, Algorithm 2 line 7");
             // dcd-lint: allow(hot-path-mutex): DWS bounded wait, Algorithm 2 line 7
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                options_.dws_max_wait_slice_us));
+            std::this_thread::sleep_for(kMaxWaitSlice);
           }
           GatherAll(ctx);
           delta = DeltaTotal(*ctx);
@@ -1270,9 +1163,6 @@ class SccExecutor {
   const uint32_t n_;
   const uint32_t scc_ordinal_ = 0;
   uint32_t per_queue_blocks_ = 8;
-  /// Probed only for dedicated-thread multi-worker runs with numa=auto;
-  /// empty (MultiNode false) otherwise.
-  NumaTopology numa_topo_;
 
   std::vector<std::unique_ptr<BlockQueue>> queues_;
   std::vector<std::unique_ptr<StealBoard>> steal_boards_;
@@ -1869,19 +1759,12 @@ Status Engine::CountingDelete(size_t scc_idx,
   // most one removal-affected atom per rule — the driving one — so every
   // probe touches a relation the batch left unchanged, and the current
   // catalog state equals the pre-batch state for all of them.
-  uint32_t max_regs = 1;
-  for (const PhysicalRule& rule : scc.update_rules) {
-    max_regs = std::max(max_regs, rule.num_regs);
-  }
-  std::vector<uint64_t> regs(max_regs, 0);
   PipelineContext pctx;
   pctx.catalog = catalog_;
   pctx.base_indexes = st->base_indexes.get();
   pctx.replicas = &tables[0];  // No recursive probes in a counting SCC.
-  pctx.regs = regs.data();
 
   struct DecCtx {
-    const PhysicalRule* rule = nullptr;
     std::vector<std::vector<std::unique_ptr<RecursiveTable>>>* tables =
         nullptr;
     std::vector<std::vector<std::vector<uint64_t>>>* dead = nullptr;
@@ -1889,43 +1772,45 @@ Status Engine::CountingDelete(size_t scc_idx,
     int canonical = 0;
     uint32_t partition_col = 0;
   };
-  const auto dec_thunk = [](void* c, const uint64_t* regs_in) {
+  const auto dec_thunk = [](void* c, const HeadSpec& /*head*/,
+                            const uint64_t* wires, uint32_t count,
+                            uint32_t wire_arity) {
     auto* d = static_cast<DecCtx*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(d->rule->head, regs_in, wire);
-    const uint32_t w = PartitionOf(wire[d->partition_col], d->n);
-    RecursiveTable* table = (*d->tables)[w][d->canonical].get();
-    const uint64_t row_id =
-        table->FindRowId(TupleRef{wire, table->stored_arity()});
-    if (row_id == UINT64_MAX || table->SupportCount(row_id) == 0) {
-      // Every lost derivation must resolve to a live, supported row;
-      // anything else means the counts drifted.
-      DCD_DCHECK(false);
-      return;
-    }
-    if (table->DecrementSupport(row_id) == 0) {
-      (*d->dead)[w][d->canonical].push_back(row_id);
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint64_t* wire = wires + static_cast<size_t>(i) * wire_arity;
+      const uint32_t w = PartitionOf(wire[d->partition_col], d->n);
+      RecursiveTable* table = (*d->tables)[w][d->canonical].get();
+      const uint64_t row_id =
+          table->FindRowId(TupleRef{wire, table->stored_arity()});
+      if (row_id == UINT64_MAX || table->SupportCount(row_id) == 0) {
+        // Every lost derivation must resolve to a live, supported row;
+        // anything else means the counts drifted.
+        DCD_DCHECK(false);
+        continue;
+      }
+      if (table->DecrementSupport(row_id) == 0) {
+        (*d->dead)[w][d->canonical].push_back(row_id);
+      }
     }
   };
 
   std::vector<std::vector<std::vector<uint64_t>>> dead(
       n, std::vector<std::vector<uint64_t>>(scc.replicas.size()));
+  BatchPipelineRunner runner;
   for (const PhysicalRule& rule : scc.update_rules) {
     auto rm_it = removed_rows->find(rule.driving_relation);
     if (rm_it == removed_rows->end() || rm_it->second.empty()) continue;
     PreparePipeline(rule, &pctx);
     DecCtx dctx;
-    dctx.rule = &rule;
     dctx.tables = &tables;
     dctx.dead = &dead;
     dctx.n = n;
     dctx.canonical = scc.ReplicasOf(rule.head.predicate).front();
     dctx.partition_col = scc.replicas[dctx.canonical].partition_col;
-    const EmitSink emit{dec_thunk, &dctx};
     const Relation& rm = rm_it->second;
-    for (uint64_t r = 0; r < rm.size(); ++r) {
-      RunPipelineForTuple(rule, pctx, rm.Row(r), emit);
-    }
+    runner.Begin(rule, &pctx, BatchEmitSink{dec_thunk, &dctx});
+    for (uint64_t r = 0; r < rm.size(); ++r) runner.Push(rm.Row(r));
+    runner.Finish();
   }
 
   // Collect the dying rows (their tuples must be read before compaction),

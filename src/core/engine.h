@@ -48,8 +48,7 @@ struct EvalStats {
   /// close: probe comparisons are the dependent-load chain the flat
   /// structures exist to shorten.
   uint64_t merge_probe_cmps = 0;
-  /// Driving batches the batch pipeline executor ran (0 under
-  /// --pipeline-executor=tuple — the ablation baseline has no batches).
+  /// Driving batches the batch pipeline executor ran.
   uint64_t pipeline_batches = 0;
   /// Driving rows admitted into batches after the driving scan's checks
   /// (the lanes the vectorized steps actually processed).

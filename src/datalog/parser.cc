@@ -1,5 +1,6 @@
 #include "datalog/parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "datalog/lexer.h"
@@ -262,52 +263,96 @@ class Parser {
     return Status::OK();
   }
 
+  /// Deepest accepted expression tree, counting each parenthesis, unary
+  /// minus and binary operator as one level. The parser, the later
+  /// recursive walkers (analysis, planning, evaluation) and the destructor
+  /// all recurse once per level, so an unbounded tree from hostile input
+  /// would overflow the stack.
+  static constexpr uint32_t kMaxExprDepth = 1024;
+
+  /// A parsed expression and its depth in levels (a leaf is 1).
+  struct ExprTree {
+    std::unique_ptr<Expr> expr;
+    uint32_t depth = 1;
+  };
+
+  static Status DepthError(int line) {
+    return Status::ParseError("expression nested deeper than " +
+                              std::to_string(kMaxExprDepth) +
+                              " levels at line " + std::to_string(line));
+  }
+
+  /// Builds `l op r`, rejecting it when the tree grows too deep. Checked per
+  /// fold: a flat chain `1+1+…` loops here without recursing, but builds
+  /// a left-deep tree as deep as the chain is long.
+  static Result<ExprTree> Fold(ExprOp op, ExprTree l, ExprTree r, int line) {
+    const uint32_t depth = std::max(l.depth, r.depth) + 1;
+    if (depth > kMaxExprDepth) return DepthError(line);
+    return ExprTree{Expr::Binary(op, std::move(l.expr), std::move(r.expr)),
+                    depth};
+  }
+
   Result<std::unique_ptr<Expr>> ParseExpr() {
-    DCD_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseMul());
+    DCD_ASSIGN_OR_RETURN(ExprTree tree, ParseSum(0));
+    return std::move(tree.expr);
+  }
+
+  // `nesting` counts the parentheses and unary minuses enclosing the call;
+  // bounding it before recursing keeps the parser's own stack in check.
+  Result<ExprTree> ParseSum(uint32_t nesting) {
+    DCD_ASSIGN_OR_RETURN(ExprTree lhs, ParseMul(nesting));
     while (At(TokenKind::kPlus) || At(TokenKind::kMinus)) {
+      const int line = Peek().line;
       ExprOp op = Accept(TokenKind::kPlus) ? ExprOp::kAdd
                                            : (Advance(), ExprOp::kSub);
-      DCD_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseMul());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      DCD_ASSIGN_OR_RETURN(ExprTree rhs, ParseMul(nesting));
+      DCD_ASSIGN_OR_RETURN(lhs, Fold(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
 
-  Result<std::unique_ptr<Expr>> ParseMul() {
-    DCD_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseUnary());
+  Result<ExprTree> ParseMul(uint32_t nesting) {
+    DCD_ASSIGN_OR_RETURN(ExprTree lhs, ParseUnary(nesting));
     while (At(TokenKind::kStar) || At(TokenKind::kSlash)) {
+      const int line = Peek().line;
       ExprOp op = Accept(TokenKind::kStar) ? ExprOp::kMul
                                            : (Advance(), ExprOp::kDiv);
-      DCD_ASSIGN_OR_RETURN(std::unique_ptr<Expr> rhs, ParseUnary());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      DCD_ASSIGN_OR_RETURN(ExprTree rhs, ParseUnary(nesting));
+      DCD_ASSIGN_OR_RETURN(lhs, Fold(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
 
-  Result<std::unique_ptr<Expr>> ParseUnary() {
-    if (Accept(TokenKind::kMinus)) {
-      DCD_ASSIGN_OR_RETURN(std::unique_ptr<Expr> inner, ParseUnary());
-      return Expr::Negate(std::move(inner));
+  Result<ExprTree> ParseUnary(uint32_t nesting) {
+    if (At(TokenKind::kMinus)) {
+      if (nesting + 1 >= kMaxExprDepth) return DepthError(Peek().line);
+      const int line = Advance().line;
+      DCD_ASSIGN_OR_RETURN(ExprTree inner, ParseUnary(nesting + 1));
+      if (inner.depth >= kMaxExprDepth) return DepthError(line);
+      return ExprTree{Expr::Negate(std::move(inner.expr)), inner.depth + 1};
     }
-    return ParsePrimary();
+    return ParsePrimary(nesting);
   }
 
-  Result<std::unique_ptr<Expr>> ParsePrimary() {
+  Result<ExprTree> ParsePrimary(uint32_t nesting) {
     const Token& tok = Peek();
     switch (tok.kind) {
       case TokenKind::kVariable:
-        return Expr::Var(Advance().text);
+        return ExprTree{Expr::Var(Advance().text)};
       case TokenKind::kInt:
-        return Expr::Const(Value::Int(Advance().int_value));
+        return ExprTree{Expr::Const(Value::Int(Advance().int_value))};
       case TokenKind::kFloat:
-        return Expr::Const(Value::Double(Advance().float_value));
+        return ExprTree{Expr::Const(Value::Double(Advance().float_value))};
       case TokenKind::kString:
-        return Expr::Const(Value::String(dict_->Intern(Advance().text)));
+        return ExprTree{
+            Expr::Const(Value::String(dict_->Intern(Advance().text)))};
       case TokenKind::kLParen: {
+        if (nesting + 1 >= kMaxExprDepth) return DepthError(tok.line);
         Advance();
-        DCD_ASSIGN_OR_RETURN(std::unique_ptr<Expr> inner, ParseExpr());
+        DCD_ASSIGN_OR_RETURN(ExprTree inner, ParseSum(nesting + 1));
         DCD_RETURN_IF_ERROR_R(Expect(TokenKind::kRParen, "expression"));
-        return inner;
+        if (inner.depth >= kMaxExprDepth) return DepthError(tok.line);
+        return ExprTree{std::move(inner.expr), inner.depth + 1};
       }
       default:
         return Status::ParseError("expected expression, found '" + tok.text +

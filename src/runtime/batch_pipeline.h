@@ -33,9 +33,8 @@ struct BatchEmitSink {
   void* ctx = nullptr;
 };
 
-/// Vectorized batch-at-a-time pipeline executor (the default;
-/// EngineOptions::pipeline_executor selects the tuple-at-a-time executor in
-/// runtime/pipeline.h as the ablation baseline).
+/// Vectorized batch-at-a-time pipeline executor: runs every rule pipeline
+/// in the engine.
 ///
 /// Driving tuples are gathered into fixed-size batches of
 /// kBatchPipelineLanes rows. Registers are columnar banks — register r of

@@ -12,15 +12,13 @@
 namespace dcdatalog {
 
 /// Everything a worker needs to execute rule pipelines: shared read-only
-/// structures plus this worker's own replicas and register scratch.
+/// structures plus this worker's own replicas. Register banks live in the
+/// BatchPipelineRunner (runtime/batch_pipeline.h).
 struct PipelineContext {
   const Catalog* catalog = nullptr;
   const BaseIndexSet* base_indexes = nullptr;
   /// This worker's replica partitions, indexed by replica id.
   const std::vector<std::unique_ptr<RecursiveTable>>* replicas = nullptr;
-  /// Register scratch, at least PhysicalRule::num_regs wide (tuple
-  /// executor; the batch executor carries its own columnar banks).
-  uint64_t* regs = nullptr;
   /// Scan relations resolved once per rule by PreparePipeline, indexed by
   /// step. The catalog registry is lock-guarded, so per-tuple Find calls
   /// from the pipeline would put a mutex on the hot path (and trip the
@@ -33,24 +31,10 @@ struct PipelineContext {
 /// with this context; rules without scan steps clear the cache cheaply.
 void PreparePipeline(const PhysicalRule& rule, PipelineContext* ctx);
 
-/// Non-allocating emission callback: a plain function pointer plus opaque
-/// context. Replaces the old std::function EmitFn — a capturing
-/// std::function can heap-allocate and always calls through a vtable-like
-/// thunk, neither of which belongs on the per-derivation hot path. The
-/// callee evaluates the head's wire expressions and routes the tuple.
-struct EmitSink {
-  using Fn = void (*)(void* ctx, const uint64_t* regs);
-  Fn fn = nullptr;
-  void* ctx = nullptr;
-
-  void operator()(const uint64_t* regs) const { fn(ctx, regs); }
-};
-
-// --- Shared step-compilation layer ----------------------------------------
-// Both executors apply the same residual-check/bind semantics per matched
-// tuple; the only difference is the register layout. These helpers take the
-// strided form (register r of lane `lane` lives at regs[r * stride + lane]);
-// the tuple executor passes stride = 1, lane = 0 and gets the flat layout.
+// --- Step-compilation helpers ---------------------------------------------
+// Residual-check/bind semantics per matched tuple, over the batch runner's
+// columnar register banks: register r of lane `lane` lives at
+// regs[r * stride + lane].
 
 /// Applies a step's residual checks to a matched tuple and, on success,
 /// binds its output columns into registers. Returns false on any mismatch.
@@ -106,20 +90,6 @@ inline bool ApplyDrivingScanStrided(const PhysicalRule& rule, TupleRef driving,
   }
   return true;
 }
-
-/// Executes `rule`'s step pipeline for one driving tuple (a delta row or a
-/// scanned base row): applies the driving scan's bindings and checks, then
-/// runs probes/filters/binds depth-first, calling `emit` per derivation.
-void RunPipelineForTuple(const PhysicalRule& rule, const PipelineContext& ctx,
-                         TupleRef driving, const EmitSink& emit);
-
-/// Executes a unit-driven rule (no body atoms): runs the pipeline once.
-void RunPipelineUnit(const PhysicalRule& rule, const PipelineContext& ctx,
-                     const EmitSink& emit);
-
-/// Evaluates the head's wire expressions into `wire` (wire_arity words).
-void BuildWireTuple(const HeadSpec& head, const uint64_t* regs,
-                    uint64_t* wire);
 
 }  // namespace dcdatalog
 

@@ -24,6 +24,23 @@ std::string RowToString(const std::vector<uint64_t>& row) {
   return os.str();
 }
 
+/// The engine options one differential run uses under `config`.
+EngineOptions OptionsFor(const RunConfig& config) {
+  EngineOptions options;
+  options.num_workers = config.num_workers;
+  options.coordination = config.mode;
+  options.merge_index_backend = config.merge_backend;
+  options.max_global_iterations = config.max_global_iterations;
+  options.enable_steal = config.steal;
+  if (config.steal) {
+    // Fuzz-sized deltas never cross the production publish threshold; force
+    // the morsel machinery to actually run (see RunConfig::steal).
+    options.steal_min_backlog = 1;
+    options.steal_morsel_tuples = 16;
+  }
+  return options;
+}
+
 /// First few rows present in `a` but not in `b`, multiset-wise.
 std::string MultisetExcess(const RowMultiset& a, const RowMultiset& b,
                            size_t limit) {
@@ -96,20 +113,7 @@ RunOutcome ComputeOracle(const FuzzCase& c, uint64_t max_rounds,
 
 RunOutcome RunEngineOnce(const FuzzCase& c, const RunConfig& config,
                          const OracleRows& oracle) {
-  EngineOptions options;
-  options.num_workers = config.num_workers;
-  options.coordination = config.mode;
-  options.merge_index_backend = config.merge_backend;
-  options.pipeline_executor = config.pipeline;
-  options.max_global_iterations = config.max_global_iterations;
-  options.enable_steal = config.steal;
-  if (config.steal) {
-    // Fuzz-sized deltas never cross the production publish threshold; force
-    // the morsel machinery to actually run (see RunConfig::steal).
-    options.steal_min_backlog = 1;
-    options.steal_morsel_tuples = 16;
-  }
-  DCDatalog db(options);
+  DCDatalog db(OptionsFor(config));
   Status load = c.Load(&db);
   if (!load.ok()) {
     return RunOutcome{OutcomeKind::kLoadError, load.ToString()};
@@ -139,19 +143,7 @@ RunOutcome RunEngineOnce(const FuzzCase& c, const RunConfig& config,
 
 RunOutcome RunEngineTraced(const FuzzCase& c, const RunConfig& config,
                            EvalStats* stats) {
-  EngineOptions options;
-  options.num_workers = config.num_workers;
-  options.coordination = config.mode;
-  options.merge_index_backend = config.merge_backend;
-  options.pipeline_executor = config.pipeline;
-  options.max_global_iterations = config.max_global_iterations;
-  options.enable_steal = config.steal;
-  if (config.steal) {
-    // Fuzz-sized deltas never cross the production publish threshold; force
-    // the morsel machinery to actually run (see RunConfig::steal).
-    options.steal_min_backlog = 1;
-    options.steal_morsel_tuples = 16;
-  }
+  EngineOptions options = OptionsFor(config);
   options.enable_trace = true;
   DCDatalog db(options);
   Status load = c.Load(&db);
@@ -212,20 +204,7 @@ RunOutcome DiffAgainstReference(const FuzzCase& c, DCDatalog* db,
 }  // namespace
 
 RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
-  EngineOptions options;
-  options.num_workers = config.num_workers;
-  options.coordination = config.mode;
-  options.merge_index_backend = config.merge_backend;
-  options.pipeline_executor = config.pipeline;
-  options.max_global_iterations = config.max_global_iterations;
-  options.enable_steal = config.steal;
-  if (config.steal) {
-    // Fuzz-sized deltas never cross the production publish threshold; force
-    // the morsel machinery to actually run (see RunConfig::steal).
-    options.steal_min_backlog = 1;
-    options.steal_morsel_tuples = 16;
-  }
-  DCDatalog db(options);
+  DCDatalog db(OptionsFor(config));
   Status load = c.Load(&db);
   if (!load.ok()) {
     return RunOutcome{OutcomeKind::kLoadError, load.ToString()};

@@ -33,10 +33,6 @@ struct RunConfig {
   /// flat and btree against the same oracle, so the two backends stay
   /// multiset-equivalent across all rule families by construction.
   MergeIndexBackend merge_backend = MergeIndexBackend::kFlat;
-  /// Rule-pipeline executor (the pipelines axis): cases run batch and tuple
-  /// against the same oracle, so the vectorized executor and the
-  /// tuple-at-a-time baseline stay multiset-equivalent by construction.
-  PipelineExecutor pipeline = PipelineExecutor::kBatch;
   /// Morsel-stealing axis. When true the runner also forces the publish
   /// threshold and morsel size down (steal_min_backlog = 1, 16-tuple
   /// morsels) so fuzz-sized EDBs actually publish and claim morsels —

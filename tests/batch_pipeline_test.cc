@@ -1,8 +1,9 @@
 // Unit tests for the vectorized batch pipeline executor (§5.2): drives
 // BatchPipelineRunner directly over planner-compiled base rules and checks
-// the selection-vector edge cases against the tuple-at-a-time executor —
-// empty batches, batches the filters empty out entirely, and probe fan-out
-// larger than one batch from a single driving row.
+// the selection-vector edge cases against the reference interpreter
+// (core/reference.h) — empty batches, batches the filters empty out
+// entirely, and probe fan-out larger than one batch from a single driving
+// row.
 
 #include <gtest/gtest.h>
 
@@ -12,23 +13,24 @@
 #include <vector>
 
 #include "common/value.h"
+#include "core/reference.h"
 #include "datalog/analysis.h"
 #include "datalog/parser.h"
 #include "planner/logical_plan.h"
 #include "planner/physical_plan.h"
 #include "runtime/base_index_set.h"
 #include "runtime/batch_pipeline.h"
-#include "runtime/message.h"
 #include "runtime/pipeline.h"
 #include "storage/catalog.h"
 
 namespace dcdatalog {
 namespace {
 
-/// Collects emitted wire tuples from either executor's sink.
+using Rows = std::multiset<std::vector<uint64_t>>;
+
+/// Collects emitted wire tuples from the runner's sink.
 struct Collector {
-  const PhysicalRule* rule = nullptr;  // Tuple-sink side only.
-  std::multiset<std::vector<uint64_t>> rows;
+  Rows rows;
 
   static void BatchThunk(void* c, const HeadSpec& head, const uint64_t* wires,
                          uint32_t count, uint32_t wire_arity) {
@@ -38,13 +40,6 @@ struct Collector {
       const uint64_t* w = wires + static_cast<size_t>(i) * wire_arity;
       self->rows.emplace(w, w + wire_arity);
     }
-  }
-
-  static void TupleThunk(void* c, const uint64_t* regs) {
-    auto* self = static_cast<Collector*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(self->rule->head, regs, wire);
-    self->rows.emplace(wire, wire + self->rule->head.agg.wire_arity);
   }
 };
 
@@ -82,8 +77,6 @@ class BatchPipelineTest : public ::testing::Test {
     ctx_.catalog = &catalog_;
     ctx_.base_indexes = indexes_.get();
     ctx_.replicas = &no_replicas_;
-    regs_.assign(rule_->num_regs, 0);
-    ctx_.regs = regs_.data();
     PreparePipeline(*rule_, &ctx_);
   }
 
@@ -98,15 +91,20 @@ class BatchPipelineTest : public ::testing::Test {
     runner->Finish();
   }
 
-  /// The oracle: the tuple executor over the same driving rows.
-  void RunTupleExecutor(Collector* out) {
-    out->rule = rule_;
-    const EmitSink emit{&Collector::TupleThunk, out};
-    const Relation* driving = catalog_.Find(rule_->driving_relation);
-    ASSERT_NE(driving, nullptr);
-    for (uint64_t r = 0; r < driving->size(); ++r) {
-      RunPipelineForTuple(*rule_, ctx_, driving->Row(r), emit);
+  /// The oracle: ReferenceEvaluate of the same program and catalog. Its
+  /// rows are a set, so comparing the runner's multiset against it also
+  /// catches duplicated emissions.
+  Rows ReferenceRows(const std::string& pred) {
+    auto ref = ReferenceEvaluate(program_, catalog_);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    Rows out;
+    if (!ref.ok()) return out;
+    const Relation& rel = ref.value().at(pred);
+    for (uint64_t r = 0; r < rel.size(); ++r) {
+      TupleRef row = rel.Row(r);
+      out.emplace(row.data, row.data + row.arity);
     }
+    return out;
   }
 
   Catalog catalog_;
@@ -116,7 +114,6 @@ class BatchPipelineTest : public ::testing::Test {
   const PhysicalRule* rule_ = nullptr;
   std::unique_ptr<BaseIndexSet> indexes_;
   std::vector<std::unique_ptr<RecursiveTable>> no_replicas_;
-  std::vector<uint64_t> regs_;
   PipelineContext ctx_;
 };
 
@@ -131,6 +128,7 @@ TEST_F(BatchPipelineTest, EmptyBatchIsANoOp) {
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
   EXPECT_TRUE(got.rows.empty());
+  EXPECT_EQ(got.rows, ReferenceRows("out"));
   EXPECT_EQ(runner.batches(), 0u);
   EXPECT_EQ(runner.rows_selected(), 0u);
 }
@@ -151,6 +149,7 @@ TEST_F(BatchPipelineTest, AllFilteredBatchEmitsNothing) {
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
   EXPECT_TRUE(got.rows.empty());
+  EXPECT_EQ(got.rows, ReferenceRows("out"));
   // The driving scan admitted every row — the filter, not admission,
   // emptied the batch.
   EXPECT_EQ(runner.rows_selected(), 100u);
@@ -172,12 +171,11 @@ TEST_F(BatchPipelineTest, FanOutLargerThanBatchFromOneProbe) {
   Plan("out(X, Y) :- src(X), edge(X, Y).", "out");
   ASSERT_EQ(rule_->driving_relation, "src");
 
-  Collector got, want;
+  Collector got;
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
-  RunTupleExecutor(&want);
   EXPECT_EQ(got.rows.size(), static_cast<size_t>(kMatches));
-  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.rows, ReferenceRows("out"));
   EXPECT_EQ(runner.batches(), 1u);
   EXPECT_EQ(runner.rows_selected(), 1u);
 }
@@ -192,19 +190,18 @@ TEST_F(BatchPipelineTest, DrivingScanConstChecksGateAdmission) {
   Plan("out(Y) :- edge(3, Y).", "out");
   ASSERT_EQ(rule_->driving_relation, "edge");
 
-  Collector got, want;
+  Collector got;
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
-  RunTupleExecutor(&want);
-  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.rows, ReferenceRows("out"));
   EXPECT_EQ(got.rows.size(), 10u);
   EXPECT_EQ(runner.rows_selected(), 10u);
 }
 
-TEST_F(BatchPipelineTest, MultiBatchMixedPipelineMatchesTupleExecutor) {
+TEST_F(BatchPipelineTest, MultiBatchMixedPipelineMatchesReference) {
   // > 3 full batches plus a partial one through a filter + bind + probe
-  // pipeline; the multisets (not sets — fan-out produces duplicates under
-  // projection) must agree exactly with the tuple executor.
+  // pipeline; every (X, Y) derivation yields a distinct S, so the emitted
+  // multiset must equal the reference's row set exactly.
   constexpr int64_t kRows = 1000;
   auto* src = catalog_.Put(Relation("src", Schema::Ints(1)));
   auto* edge = catalog_.Put(Relation("edge", Schema::Ints(2)));
@@ -216,12 +213,11 @@ TEST_F(BatchPipelineTest, MultiBatchMixedPipelineMatchesTupleExecutor) {
   Plan("out(X, S) :- src(X), X < 500, edge(X, Y), S = X * 1000 + Y.", "out");
   ASSERT_EQ(rule_->driving_relation, "src");
 
-  Collector got, want;
+  Collector got;
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
-  RunTupleExecutor(&want);
   EXPECT_FALSE(got.rows.empty());
-  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.rows, ReferenceRows("out"));
   // 1000 pushed rows all pass the (check-free) driving scan: ceil(1000/256)
   // batches, the last one partial.
   EXPECT_EQ(runner.rows_selected(), static_cast<uint64_t>(kRows));

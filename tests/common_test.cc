@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/numa_topology.h"
 #include "common/options.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -241,54 +240,11 @@ TEST(OptionsTest, ToStringMentionsStrategy) {
   EXPECT_NE(o.ToString().find("SSP"), std::string::npos);
 }
 
-TEST(OptionsTest, ToStringMentionsStealAndNuma) {
+TEST(OptionsTest, ToStringMentionsSteal) {
   EngineOptions o;
+  EXPECT_NE(o.ToString().find("steal=on"), std::string::npos);
   o.enable_steal = false;
-  o.numa = NumaMode::kOff;
-  const std::string s = o.ToString();
-  EXPECT_NE(s.find("steal=off"), std::string::npos);
-  EXPECT_NE(s.find("numa=off"), std::string::npos);
-}
-
-TEST(NumaTopologyTest, ParseCpuListAcceptsRangesAndSingles) {
-  std::vector<uint32_t> cpus;
-  ASSERT_TRUE(NumaTopology::ParseCpuList("0-3,8,10-11", &cpus));
-  EXPECT_EQ(cpus, (std::vector<uint32_t>{0, 1, 2, 3, 8, 10, 11}));
-  ASSERT_TRUE(NumaTopology::ParseCpuList("5", &cpus));
-  EXPECT_EQ(cpus, (std::vector<uint32_t>{5}));
-  // Duplicates collapse; order is sorted regardless of input order.
-  ASSERT_TRUE(NumaTopology::ParseCpuList("4,2,2-3", &cpus));
-  EXPECT_EQ(cpus, (std::vector<uint32_t>{2, 3, 4}));
-}
-
-TEST(NumaTopologyTest, ParseCpuListRejectsMalformed) {
-  std::vector<uint32_t> cpus;
-  EXPECT_FALSE(NumaTopology::ParseCpuList("", &cpus));
-  EXPECT_FALSE(NumaTopology::ParseCpuList("3-1", &cpus));  // hi < lo
-  EXPECT_FALSE(NumaTopology::ParseCpuList("a-b", &cpus));
-  EXPECT_FALSE(NumaTopology::ParseCpuList("1,", &cpus));
-}
-
-TEST(NumaTopologyTest, FromStringAndWorkerPlacement) {
-  const NumaTopology topo = NumaTopology::FromString("0:0-3;1:4-7");
-  ASSERT_EQ(topo.num_nodes(), 2u);
-  EXPECT_TRUE(topo.MultiNode());
-  EXPECT_EQ(topo.nodes[0].cpus.size(), 4u);
-  EXPECT_EQ(topo.nodes[1].cpus[0], 4u);
-  // Breadth-first: consecutive workers alternate sockets so each socket's
-  // memory bandwidth is engaged even at low worker counts.
-  EXPECT_EQ(topo.NodeForWorker(0), 0u);
-  EXPECT_EQ(topo.NodeForWorker(1), 1u);
-  EXPECT_EQ(topo.NodeForWorker(2), 0u);
-  EXPECT_EQ(topo.NodeForWorker(5), 1u);
-}
-
-TEST(NumaTopologyTest, ProbeAlwaysYieldsAtLeastOneNode) {
-  // On any machine — single-socket laptop or /sys-less container — Probe()
-  // must produce a usable topology rather than an empty one.
-  const NumaTopology topo = NumaTopology::Probe();
-  ASSERT_GE(topo.num_nodes(), 1u);
-  EXPECT_EQ(topo.NodeForWorker(0), topo.NodeForWorker(topo.num_nodes()));
+  EXPECT_NE(o.ToString().find("steal=off"), std::string::npos);
 }
 
 }  // namespace

@@ -234,6 +234,22 @@ TEST(TerminationTest, ReactivationBlocksTermination) {
   EXPECT_TRUE(det.CheckTermination());
 }
 
+TEST(TerminationTest, DrainReactivatesParkedConsumer) {
+  // Worker 1 parks (clears its flag) just after worker 0's push activated
+  // it, then drains the block. Until worker 1 has merged the drained tuples
+  // and found no new work, no round may pass, even though the counts
+  // already balance.
+  TerminationDetector det(2);
+  det.OnBlockPushed(1, 4);
+  det.Deactivate(0);
+  det.Deactivate(1);
+  EXPECT_FALSE(det.CheckTermination());  // 4 produced, 0 consumed.
+  det.OnBlocksDrained(1, 4);
+  EXPECT_FALSE(det.CheckTermination());  // Balanced, but 1 is active.
+  det.Deactivate(1);
+  EXPECT_TRUE(det.CheckTermination());
+}
+
 TEST(TerminationTest, ConcurrentProduceConsumeNeverFalseTerminates) {
   // Two "workers" bounce a token; the detector must never fire while the
   // token is in flight.

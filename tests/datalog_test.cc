@@ -147,6 +147,55 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseProgram("p() :- q(X).", &dict).ok());
 }
 
+// Rule whose constraint `C = <expr>` sits on line 2.
+std::string RuleWithExpr(const std::string& expr) {
+  return "p(X, C) :-\n  q(X), C = " + expr + ".\n";
+}
+
+void ExpectDepthError(const std::string& expr) {
+  StringDict dict;
+  auto p = ParseProgram(RuleWithExpr(expr), &dict);
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kParseError);
+  EXPECT_NE(p.status().message().find("nested deeper"), std::string::npos)
+      << p.status().ToString();
+  EXPECT_NE(p.status().message().find("line 2"), std::string::npos)
+      << p.status().ToString();
+}
+
+TEST(ParserTest, DeepParenthesesRejected) {
+  ExpectDepthError(std::string(10000, '(') + "1" + std::string(10000, ')'));
+}
+
+TEST(ParserTest, LongOperatorChainRejected) {
+  // The parser folds `+` iteratively, but the left-deep tree it builds is
+  // as deep as the chain is long.
+  std::string chain = "1";
+  for (int i = 1; i < 20000; ++i) chain += "+1";
+  ExpectDepthError(chain);
+  std::string products = "2";
+  for (int i = 1; i < 20000; ++i) products += "*2";
+  ExpectDepthError(products);
+}
+
+TEST(ParserTest, ManyUnaryMinusesRejected) {
+  ExpectDepthError(std::string(100000, '-') + "1");
+}
+
+TEST(ParserTest, ThousandDeepExpressionsParse) {
+  StringDict dict;
+  auto parens = ParseProgram(
+      RuleWithExpr(std::string(1000, '(') + "1" + std::string(1000, ')')),
+      &dict);
+  EXPECT_TRUE(parens.ok()) << parens.status().ToString();
+  std::string chain = "X";
+  for (int i = 1; i < 1000; ++i) chain += "+1";
+  auto sum = ParseProgram(RuleWithExpr(chain), &dict);
+  EXPECT_TRUE(sum.ok()) << sum.status().ToString();
+  auto minus = ParseProgram(RuleWithExpr(std::string(1000, '-') + "1"), &dict);
+  EXPECT_TRUE(minus.ok()) << minus.status().ToString();
+}
+
 TEST(ParserTest, NegatedAtoms) {
   StringDict dict;
   auto p = ParseProgram("q(X) :- node(X), !visited(X, _).", &dict);

@@ -6,11 +6,11 @@
 #include <cmath>
 #include <set>
 #include <string>
-#include <tuple>
 
 #include "common/random.h"
 #include "core/dcdatalog.h"
 #include "core/dws_controller.h"
+#include "core/reference.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
 
@@ -498,25 +498,18 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor ablation: every correctness scenario below runs under both the
-// batch-at-a-time executor (default) and the tuple-at-a-time baseline, the
-// same way RecursiveTableModes parameterizes the merge-index backends.
+// Rule-pipeline scenarios, each diffed against the single-threaded reference
+// interpreter (core/reference.h), which shares no evaluation code with the
+// engine.
 
 /// How a parameterized run reaches its fixpoint: one from-scratch Run(), or
 /// an incremental session seeded with half the EDB whose second half
 /// arrives as a streaming update batch. Both must produce identical rows.
 enum class EvalMode { kScratch, kIncrementalSplit };
 
-class EnginePipelines
-    : public ::testing::TestWithParam<std::tuple<PipelineExecutor, EvalMode>> {
+class EnginePipelines : public ::testing::TestWithParam<EvalMode> {
  protected:
-  EngineOptions POpts(uint32_t workers, CoordinationMode mode) const {
-    EngineOptions o = Opts(workers, mode);
-    o.pipeline_executor = std::get<0>(GetParam());
-    return o;
-  }
-
-  EvalMode Mode() const { return std::get<1>(GetParam()); }
+  EvalMode Mode() const { return GetParam(); }
 
   // Runs `program` over `g` loaded as "arc" and returns `pred`'s rows.
   std::set<std::vector<uint64_t>> RunRows(const EngineOptions& o,
@@ -557,20 +550,22 @@ class EnginePipelines
     return RowSet(*db.ResultFor(pred));
   }
 
-  // Single-worker tuple-executor from-scratch run — the oracle every
-  // (executor, eval-mode) combination must match.
+  // ReferenceEvaluate over the full EDB — the oracle every eval mode,
+  // strategy and worker count must match.
   std::set<std::vector<uint64_t>> OracleRows(const Graph& g,
                                              const std::string& program,
                                              const std::string& pred) {
-    EngineOptions o = Opts(1, CoordinationMode::kGlobal);
-    o.pipeline_executor = PipelineExecutor::kTuple;
-    DCDatalog db(o);
+    DCDatalog db;
     db.AddGraph(g, "arc");
     EXPECT_TRUE(db.LoadProgramText(program).ok());
-    auto stats = db.Run();
-    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    if (!stats.ok()) return {};
-    return RowSet(*db.ResultFor(pred));
+    if (db.program() == nullptr) return {};
+    auto ref = ReferenceEvaluate(*db.program(), db.catalog());
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    if (!ref.ok()) return {};
+    auto it = ref.value().find(pred);
+    EXPECT_NE(it, ref.value().end()) << pred;
+    if (it == ref.value().end()) return {};
+    return RowSet(it->second);
   }
 };
 
@@ -582,7 +577,7 @@ TEST_P(EnginePipelines, TcMatchesOracleAcrossWorkerCounts) {
                                 CoordinationMode::kSsp,
                                 CoordinationMode::kDws}) {
     for (uint32_t workers : {1, 2, 4}) {
-      EXPECT_EQ(RunRows(POpts(workers, mode), g, kTc, "tc"), oracle)
+      EXPECT_EQ(RunRows(Opts(workers, mode), g, kTc, "tc"), oracle)
           << workers << " workers, strategy " << static_cast<int>(mode);
     }
   }
@@ -600,7 +595,7 @@ TEST_P(EnginePipelines, FiltersBindsAndNegationAgree) {
   Graph g = GenerateGnp(60, 0.04, 21);
   for (const char* pred : {"far", "score", "implied"}) {
     auto oracle = OracleRows(g, program, pred);
-    EXPECT_EQ(RunRows(POpts(3, CoordinationMode::kDws), g, program, pred),
+    EXPECT_EQ(RunRows(Opts(3, CoordinationMode::kDws), g, program, pred),
               oracle)
         << pred;
     EXPECT_FALSE(oracle.empty()) << pred;
@@ -616,44 +611,34 @@ TEST_P(EnginePipelines, AggregatesAgree) {
   Graph g = GenerateGnp(40, 0.06, 9);
   for (const char* pred : {"best", "fanout"}) {
     auto oracle = OracleRows(g, program, pred);
-    EXPECT_EQ(RunRows(POpts(4, CoordinationMode::kDws), g, program, pred),
+    EXPECT_EQ(RunRows(Opts(4, CoordinationMode::kDws), g, program, pred),
               oracle)
         << pred;
     EXPECT_FALSE(oracle.empty()) << pred;
   }
 }
 
-TEST_P(EnginePipelines, PipelineCountersTrackExecutor) {
-  DCDatalog db(POpts(2, CoordinationMode::kDws));
+TEST_P(EnginePipelines, PipelineCountersTrackBatches) {
+  DCDatalog db(Opts(2, CoordinationMode::kDws));
   Graph g = GenerateGnp(50, 0.05, 77);
   db.AddGraph(g, "arc");
   ASSERT_TRUE(db.LoadProgramText(kTc).ok());
   auto stats = db.Run();
   ASSERT_TRUE(stats.ok());
-  if (std::get<0>(GetParam()) == PipelineExecutor::kBatch) {
-    EXPECT_GT(stats.value().pipeline_batches, 0u);
-    EXPECT_GT(stats.value().pipeline_rows_selected, 0u);
-    // Batches are at most kBatchPipelineLanes rows, so there are at least
-    // rows / 256 of them; and no batch is counted without admitted rows.
-    EXPECT_GE(stats.value().pipeline_rows_selected,
-              stats.value().pipeline_batches);
-  } else {
-    EXPECT_EQ(stats.value().pipeline_batches, 0u);
-    EXPECT_EQ(stats.value().pipeline_rows_selected, 0u);
-  }
+  EXPECT_GT(stats.value().pipeline_batches, 0u);
+  EXPECT_GT(stats.value().pipeline_rows_selected, 0u);
+  // Batches are at most kBatchPipelineLanes rows, so there are at least
+  // rows / 256 of them; and no batch is counted without admitted rows.
+  EXPECT_GE(stats.value().pipeline_rows_selected,
+            stats.value().pipeline_batches);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Ablations, EnginePipelines,
-    ::testing::Combine(::testing::Values(PipelineExecutor::kBatch,
-                                         PipelineExecutor::kTuple),
-                       ::testing::Values(EvalMode::kScratch,
-                                         EvalMode::kIncrementalSplit)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<PipelineExecutor, EvalMode>>& info) {
-      return std::string(PipelineExecutorName(std::get<0>(info.param))) +
-             (std::get<1>(info.param) == EvalMode::kScratch ? "Scratch"
-                                                            : "IncSplit");
+    EvalModes, EnginePipelines,
+    ::testing::Values(EvalMode::kScratch, EvalMode::kIncrementalSplit),
+    [](const ::testing::TestParamInfo<EvalMode>& info) {
+      return std::string(info.param == EvalMode::kScratch ? "Scratch"
+                                                          : "IncSplit");
     });
 
 TEST(EngineTest, OutputsDirectiveSurvivesPlanning) {

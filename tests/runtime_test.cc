@@ -483,7 +483,7 @@ TEST_F(DistributorTest, RoutesToEveryReplicaByItsColumn) {
   Distributor dist(&scc_, /*num_workers=*/4, /*self_worker=*/4,
                    /*partial_agg=*/false, Unpack(), SelfSink());
   uint64_t wire[3] = {11, 22, WordFromInt(5)};
-  dist.Emit(head_, wire);
+  dist.EmitBatch(head_, wire, 1, 3);
   EXPECT_TRUE(sent_.empty());  // Staged until flush (or a full block).
   dist.Flush();
   ASSERT_EQ(sent_.size(), 2u);
@@ -509,9 +509,9 @@ TEST_F(DistributorTest, PartialAggregationFoldsPerGroup) {
   uint64_t w1[3] = {1, 2, WordFromInt(9)};
   uint64_t w2[3] = {1, 2, WordFromInt(4)};
   uint64_t w3[3] = {1, 2, WordFromInt(6)};
-  dist.Emit(head_, w1);
-  dist.Emit(head_, w2);
-  dist.Emit(head_, w3);
+  dist.EmitBatch(head_, w1, 1, 3);
+  dist.EmitBatch(head_, w2, 1, 3);
+  dist.EmitBatch(head_, w3, 1, 3);
   EXPECT_TRUE(sent_.empty());  // Buffered until flush.
   dist.Flush();
   // One group → one wire (per replica), carrying the minimum.
@@ -532,7 +532,7 @@ TEST_F(DistributorTest, NonAggregateTuplesShipOnFlush) {
   head.agg = SpecFor(AggFunc::kNone, 2);
   Distributor dist(&scc, 4, /*self_worker=*/4, true, Unpack(), SelfSink());
   uint64_t w[2] = {5, 6};
-  dist.Emit(head, w);
+  dist.EmitBatch(head, w, 1, 2);
   EXPECT_EQ(dist.tuples_routed(), 1u);
   EXPECT_TRUE(sent_.empty());  // Staged in a partial block...
   dist.Flush();
@@ -561,7 +561,7 @@ TEST_F(DistributorTest, FullBlocksShipBeforeFlush) {
   const uint64_t total = 2 * cap + 3;
   for (uint64_t i = 0; i < total; ++i) {
     uint64_t w[2] = {remote_key, i};
-    dist.Emit(head, w);
+    dist.EmitBatch(head, w, 1, 2);
   }
   // Two full blocks shipped eagerly; 3 tuples still staged.
   EXPECT_EQ(blocks_, 2u);
@@ -591,7 +591,7 @@ TEST_F(DistributorTest, SelfLoopBypassSkipsRings) {
   uint64_t self_tuples = 0;
   for (uint64_t key = 0; key < 64; ++key) {
     uint64_t w[2] = {key, key + 100};
-    dist.Emit(head, w);
+    dist.EmitBatch(head, w, 1, 2);
     if (PartitionOf(key, 4) == 2) ++self_tuples;
   }
   dist.Flush();

@@ -36,15 +36,13 @@ import sys
 HOT_SYMBOL_PATTERNS = [
     r"^dcdatalog::RecursiveTable::Merge\w+\(",
     r"^dcdatalog::RecursiveTable::CacheCheckDuplicate\(",
-    r"^dcdatalog::Distributor::(Emit|EmitBatch|EmitResolved|Flush|Route|"
+    r"^dcdatalog::Distributor::(EmitBatch|EmitResolved|Flush|Route|"
     r"SendBlock)\(",
     r"^dcdatalog::BatchPipelineRunner::(Push|RunBatch|Finish|FlushLevel)\(",
     r"^dcdatalog::\(anonymous namespace\)::SccExecutor::"
     r"(LocalIteration|GatherAll|PushWithBackpressure|RunUpdateRules|"
-    r"GlobalLoop|SspLoop|DwsLoop|InactiveWait|EmitTupleThunk|"
-    r"EmitBatchThunk|DistSinkThunk|DistSelfSinkThunk)\(",
-    r"^dcdatalog::\(anonymous namespace\)::ExecuteFrom\(",
-    r"^dcdatalog::RunPipelineForTuple\(",
+    r"GlobalLoop|SspLoop|DwsLoop|InactiveWait|EmitBatchThunk|"
+    r"DistSinkThunk|DistSelfSinkThunk)\(",
     r"^dcdatalog::DwsController::(Update|OnDrain|OnIteration)\(",
 ]
 

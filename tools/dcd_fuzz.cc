@@ -22,9 +22,6 @@
 //   --backends=a,b     subset of flat,btree — the merge-index backends each
 //                      case runs under (default both, so the two backends
 //                      are diffed against the same oracle)
-//   --pipelines=a,b    subset of batch,tuple — the rule-pipeline executors
-//                      each case runs under (default both, diffing the
-//                      vectorized executor against the tuple baseline)
 //   --steal=a,b        subset of on,off — the morsel-stealing axis (default
 //                      both). "on" forces the publish threshold down so
 //                      fuzz-sized deltas actually exercise the steal path
@@ -61,6 +58,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/chaos.h"
@@ -134,8 +132,6 @@ struct FuzzFlags {
   std::vector<uint32_t> workers = {1, 2, 4};
   std::vector<MergeIndexBackend> backends = {MergeIndexBackend::kFlat,
                                              MergeIndexBackend::kBtree};
-  std::vector<PipelineExecutor> pipelines = {PipelineExecutor::kBatch,
-                                             PipelineExecutor::kTuple};
   std::vector<bool> steals = {true, false};
   uint64_t max_vertices = 60;
   uint64_t update_batches = 0;
@@ -161,81 +157,22 @@ int Usage() {
   return 2;
 }
 
-bool ParseModes(const std::string& list, std::vector<CoordinationMode>* out) {
+/// Parses a comma-separated list of names from `names` into their values;
+/// any other entry (or an empty list) fails.
+template <typename T>
+bool ParseNamedList(const std::string& list,
+                    const std::vector<std::pair<std::string, T>>& names,
+                    std::vector<T>* out) {
   out->clear();
   size_t pos = 0;
   while (pos <= list.size()) {
     size_t comma = list.find(',', pos);
     if (comma == std::string::npos) comma = list.size();
-    const std::string m = list.substr(pos, comma - pos);
-    if (m == "global") {
-      out->push_back(CoordinationMode::kGlobal);
-    } else if (m == "ssp") {
-      out->push_back(CoordinationMode::kSsp);
-    } else if (m == "dws") {
-      out->push_back(CoordinationMode::kDws);
-    } else {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
-bool ParseBackends(const std::string& list,
-                   std::vector<MergeIndexBackend>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string b = list.substr(pos, comma - pos);
-    if (b == "flat") {
-      out->push_back(MergeIndexBackend::kFlat);
-    } else if (b == "btree") {
-      out->push_back(MergeIndexBackend::kBtree);
-    } else {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
-bool ParsePipelines(const std::string& list,
-                    std::vector<PipelineExecutor>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string p = list.substr(pos, comma - pos);
-    if (p == "batch") {
-      out->push_back(PipelineExecutor::kBatch);
-    } else if (p == "tuple") {
-      out->push_back(PipelineExecutor::kTuple);
-    } else {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
-bool ParseSteals(const std::string& list, std::vector<bool>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string s = list.substr(pos, comma - pos);
-    if (s == "on") {
-      out->push_back(true);
-    } else if (s == "off") {
-      out->push_back(false);
-    } else {
-      return false;
-    }
+    const std::string entry = list.substr(pos, comma - pos);
+    auto it = std::find_if(names.begin(), names.end(),
+                           [&](const auto& n) { return n.first == entry; });
+    if (it == names.end()) return false;
+    out->push_back(it->second);
     pos = comma + 1;
   }
   return !out->empty();
@@ -280,15 +217,29 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
     } else if ((v = value("--start-seed"))) {
       flags->start_seed = std::strtoull(v, nullptr, 10);
     } else if ((v = value("--modes"))) {
-      if (!ParseModes(v, &flags->modes)) return false;
+      if (!ParseNamedList<CoordinationMode>(
+              v,
+              {{"global", CoordinationMode::kGlobal},
+               {"ssp", CoordinationMode::kSsp},
+               {"dws", CoordinationMode::kDws}},
+              &flags->modes)) {
+        return false;
+      }
     } else if ((v = value("--workers"))) {
       if (!ParseWorkers(v, &flags->workers)) return false;
     } else if ((v = value("--backends"))) {
-      if (!ParseBackends(v, &flags->backends)) return false;
-    } else if ((v = value("--pipelines"))) {
-      if (!ParsePipelines(v, &flags->pipelines)) return false;
+      if (!ParseNamedList<MergeIndexBackend>(
+              v,
+              {{"flat", MergeIndexBackend::kFlat},
+               {"btree", MergeIndexBackend::kBtree}},
+              &flags->backends)) {
+        return false;
+      }
     } else if ((v = value("--steal"))) {
-      if (!ParseSteals(v, &flags->steals)) return false;
+      if (!ParseNamedList<bool>(v, {{"on", true}, {"off", false}},
+                                &flags->steals)) {
+        return false;
+      }
     } else if ((v = value("--max-vertices"))) {
       flags->max_vertices = std::strtoull(v, nullptr, 10);
     } else if ((v = value("--update-batches"))) {
@@ -454,7 +405,7 @@ std::string ModeName(CoordinationMode mode) {
   return CoordinationModeName(mode);
 }
 
-/// The --modes spelling of `mode` (ParseModes is lowercase-only).
+/// The --modes spelling of `mode` (the parser is lowercase-only).
 std::string ModeFlag(CoordinationMode mode) {
   switch (mode) {
     case CoordinationMode::kGlobal:
@@ -469,12 +420,11 @@ std::string ModeFlag(CoordinationMode mode) {
 
 RunConfig MakeConfig(const FuzzFlags& flags, CoordinationMode mode,
                      uint32_t workers, MergeIndexBackend backend,
-                     PipelineExecutor pipeline, bool steal) {
+                     bool steal) {
   RunConfig config;
   config.mode = mode;
   config.num_workers = workers;
   config.merge_backend = backend;
-  config.pipeline = pipeline;
   config.steal = steal;
   config.max_global_iterations = flags.max_iters;
   return config;
@@ -491,8 +441,8 @@ size_t RuleCount(const std::string& program) {
 void WriteRepro(const FuzzFlags& flags, const std::string& stem,
                 const FuzzCase& original, RunResult verdict,
                 CoordinationMode mode, uint32_t orig_workers,
-                MergeIndexBackend backend, PipelineExecutor pipeline,
-                bool steal, const FuzzCase& reduced,
+                MergeIndexBackend backend, bool steal,
+                const FuzzCase& reduced,
                 uint32_t reduced_workers, uint32_t probes) {
   const std::string base = flags.out_dir + "/" + stem;
   {
@@ -514,7 +464,6 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
          << "verdict: " << RunResultName(verdict) << "\n"
          << "mode: " << ModeName(mode) << "\n"
          << "merge backend: " << MergeIndexBackendName(backend) << "\n"
-         << "pipeline executor: " << PipelineExecutorName(pipeline) << "\n"
          << "steal: " << StealName(steal) << "\n"
          << "workers: " << orig_workers << " (minimized to "
          << reduced_workers << ")\n"
@@ -533,7 +482,6 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
          << ".edges --modes=" << ModeFlag(mode)
          << " --workers=" << reduced_workers
          << " --backends=" << MergeIndexBackendName(backend)
-         << " --pipelines=" << PipelineExecutorName(pipeline)
          << " --steal=" << StealName(steal)
          << (reduced.updates.batches.empty()
                  ? ""
@@ -555,7 +503,7 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
 void DumpReproTrace(const FuzzFlags& flags, const std::string& stem,
                     const FuzzCase& reduced, CoordinationMode mode,
                     uint32_t workers, MergeIndexBackend backend,
-                    PipelineExecutor pipeline, bool steal) {
+                    bool steal) {
   const std::string path = flags.out_dir + "/" + stem + ".trace.json";
   const pid_t pid = fork();
   if (pid < 0) {
@@ -565,8 +513,7 @@ void DumpReproTrace(const FuzzFlags& flags, const std::string& stem,
   if (pid == 0) {
     EvalStats stats;
     const RunOutcome out = testing_gen::RunEngineTraced(
-        reduced, MakeConfig(flags, mode, workers, backend, pipeline, steal),
-        &stats);
+        reduced, MakeConfig(flags, mode, workers, backend, steal), &stats);
     // Only a completed run yields stats; mismatches complete (the diff is
     // the parent's verdict, not the engine's), so the common failure modes
     // all get a timeline.
@@ -646,18 +593,15 @@ int RunReplay(const FuzzFlags& flags) {
   for (CoordinationMode mode : flags.modes) {
     for (uint32_t workers : flags.workers) {
       for (MergeIndexBackend backend : flags.backends) {
-        for (PipelineExecutor pipeline : flags.pipelines) {
-          for (bool steal : flags.steals) {
-            const RunResult r = RunIsolated(
-                c, MakeConfig(flags, mode, workers, backend, pipeline, steal),
-                oracle, flags, run_index++);
-            std::printf("replay %s x%u %s %s steal-%s: %s\n",
-                        ModeName(mode).c_str(), workers,
-                        MergeIndexBackendName(backend),
-                        PipelineExecutorName(pipeline), StealName(steal),
-                        RunResultName(r));
-            if (IsFailure(r)) ++failures;
-          }
+        for (bool steal : flags.steals) {
+          const RunResult r = RunIsolated(
+              c, MakeConfig(flags, mode, workers, backend, steal), oracle,
+              flags, run_index++);
+          std::printf("replay %s x%u %s steal-%s: %s\n",
+                      ModeName(mode).c_str(), workers,
+                      MergeIndexBackendName(backend), StealName(steal),
+                      RunResultName(r));
+          if (IsFailure(r)) ++failures;
         }
       }
     }
@@ -716,19 +660,17 @@ int FuzzMain(int argc, char** argv) {
     for (CoordinationMode mode : flags.modes) {
       for (uint32_t workers : flags.workers) {
       for (MergeIndexBackend backend : flags.backends) {
-      for (PipelineExecutor pipeline : flags.pipelines) {
       for (bool steal : flags.steals) {
         const RunConfig config =
-            MakeConfig(flags, mode, workers, backend, pipeline, steal);
+            MakeConfig(flags, mode, workers, backend, steal);
         const RunResult r =
             RunIsolated(c, config, oracle, flags, run_index++);
         ++runs;
         if (flags.verbose || IsFailure(r)) {
-          std::printf("seed %llu %s x%u %s %s steal-%s: %s\n",
+          std::printf("seed %llu %s x%u %s steal-%s: %s\n",
                       static_cast<unsigned long long>(seed),
                       ModeName(mode).c_str(), workers,
-                      MergeIndexBackendName(backend),
-                      PipelineExecutorName(pipeline), StealName(steal),
+                      MergeIndexBackendName(backend), StealName(steal),
                       RunResultName(r));
         }
         if (!IsFailure(r)) continue;
@@ -754,30 +696,26 @@ int FuzzMain(int argc, char** argv) {
               candidate, /*max_rounds=*/100000, &probe_oracle);
           if (probe_ref.kind != OutcomeKind::kAgree) return false;
           const RunConfig probe =
-              MakeConfig(flags, mode, probe_workers, backend, pipeline,
-                         steal);
+              MakeConfig(flags, mode, probe_workers, backend, steal);
           return IsFailure(RunIsolated(candidate, probe, probe_oracle,
                                        flags, run_index++));
         };
-        std::printf("seed %llu %s x%u %s %s steal-%s: shrinking...\n",
+        std::printf("seed %llu %s x%u %s steal-%s: shrinking...\n",
                     static_cast<unsigned long long>(seed),
                     ModeName(mode).c_str(), workers,
-                    MergeIndexBackendName(backend),
-                    PipelineExecutorName(pipeline), StealName(steal));
+                    MergeIndexBackendName(backend), StealName(steal));
         std::fflush(stdout);
         const testing_gen::MinimizeResult reduced =
             testing_gen::Minimize(c, workers, still_fails);
         const std::string stem = "seed" + std::to_string(seed) + "_" +
                                  ModeFlag(mode) + "_w" +
                                  std::to_string(workers) + "_" +
-                                 MergeIndexBackendName(backend) + "_" +
-                                 PipelineExecutorName(pipeline) + "_steal-" +
+                                 MergeIndexBackendName(backend) + "_steal-" +
                                  StealName(steal);
-        WriteRepro(flags, stem, c, r, mode, workers, backend, pipeline,
-                   steal, reduced.reduced, reduced.num_workers,
-                   reduced.probes);
+        WriteRepro(flags, stem, c, r, mode, workers, backend, steal,
+                   reduced.reduced, reduced.num_workers, reduced.probes);
         DumpReproTrace(flags, stem, reduced.reduced, mode,
-                       reduced.num_workers, backend, pipeline, steal);
+                       reduced.num_workers, backend, steal);
         std::printf(
             "seed %llu %s x%u: minimized to %zu rules / %llu edges / %u "
             "workers (%u probes) -> %s/%s.*\n",
@@ -793,7 +731,6 @@ int FuzzMain(int argc, char** argv) {
                       static_cast<unsigned long long>(runs));
           return 1;
         }
-      }
       }
       }
       }

@@ -116,15 +116,14 @@ CHAOS_ALLOWLIST_FILES = {
 # per rule, not per tuple.
 HOT_LOOP_FUNCTIONS = {
     "src/concurrent/spsc_queue.h": ["TryPush", "TryPop"],
-    "src/runtime/distributor.cc": ["Route", "Emit", "Flush", "SendBlock"],
+    "src/runtime/distributor.cc": [
+        "Route", "EmitBatch", "EmitResolved", "Flush", "SendBlock",
+    ],
     "src/runtime/recursive_table.cc": [
         "MergeWire", "MergeBatch", "MergeNone", "MergeMinMax", "MergeCount",
         "MergeSum", "PushDelta",
     ],
-    "src/runtime/pipeline.cc": [
-        "ExecuteFrom", "RunPipelineForTuple", "BuildWireTuple",
-    ],
-    # The shared step-compilation helpers both executors inline per tuple.
+    # The step-compilation helpers the batch executor inlines per lane.
     "src/runtime/pipeline.h": [
         "ApplyChecksAndBindStrided", "StepChecksMatch",
         "ApplyDrivingScanStrided",
