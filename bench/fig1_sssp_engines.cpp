@@ -42,8 +42,10 @@ void Main() {
   RunResult single = RunMedian(one, setup, kSsspProgram, "results");
 
   // Unoptimized DWS: coordination alone without the §6.2 optimizations,
-  // standing in for engines that lack them.
+  // standing in for engines that lack them. It runs on the B+-tree, the
+  // only backend with the existence cache to turn off.
   EngineOptions unopt = BaseOptions(CoordinationMode::kDws);
+  unopt.merge_index_backend = MergeIndexBackend::kBtree;
   unopt.enable_aggregate_index = false;
   unopt.enable_existence_cache = false;
   RunResult dws_unopt = RunMedian(unopt, setup, kSsspProgram, "results");

@@ -121,9 +121,13 @@ void BM_DynIndexInsertProbe(benchmark::State& state) {
 BENCHMARK(BM_DynIndexInsertProbe)->Arg(100000);
 
 void BM_SpscQueueThroughput(benchmark::State& state) {
-  SpscQueue<TupleBuf> q(4096);
-  TupleBuf buf{1, 2, 3};
-  std::vector<TupleBuf> out;
+  // One-cache-line elements: the per-slot cost of the ring itself.
+  struct Line {
+    uint64_t v[8];
+  };
+  SpscQueue<Line> q(4096);
+  const Line buf{{1, 2, 3}};
+  std::vector<Line> out;
   for (auto _ : state) {
     for (int i = 0; i < 1024; ++i) {
       while (!q.TryPush(buf)) {
@@ -145,8 +149,8 @@ void BM_FlatSetInsert(benchmark::State& state) {
     FlatTupleSet set(&rel);
     Rng rng(1);
     for (int64_t i = 0; i < state.range(0); ++i) {
-      TupleBuf buf{rng.Uniform(1 << 16), rng.Uniform(1 << 16)};
-      const TupleRef tuple = buf.Ref(2);
+      const uint64_t words[2] = {rng.Uniform(1 << 16), rng.Uniform(1 << 16)};
+      const TupleRef tuple{words, 2};
       const uint64_t hash = tuple.Hash();
       if (set.Find(hash, tuple) == FlatTupleSet::kNotFound) {
         set.Insert(hash, rel.Append(tuple));
@@ -292,21 +296,17 @@ void BM_DistributeGatherPerTuple(benchmark::State& state) {
     std::atomic<uint64_t> gathered{0};
     auto worker = [&](uint32_t wid) {
       std::vector<legacy::WireMsg> batch;
-      std::vector<TupleBuf> scratch;
+      TupleBatch scratch(2);
       auto drain = [&]() -> uint64_t {
         batch.clear();
         for (uint32_t src = 0; src < kCommWorkers; ++src) {
           ring(src, wid).PopBatch(&batch);
         }
-        for (const legacy::WireMsg& m : batch) {
-          TupleBuf buf;
-          std::memcpy(buf.v, m.w, sizeof(m.w));
-          scratch.push_back(buf);
-        }
+        for (const legacy::WireMsg& m : batch) scratch.Append(m.w);
         if (batch.empty()) return 0;
         det.AddConsumed(wid, batch.size());
         gathered.fetch_add(batch.size(), std::memory_order_relaxed);
-        benchmark::DoNotOptimize(scratch.data());
+        benchmark::DoNotOptimize(scratch.size());
         scratch.clear();
         return batch.size();
       };
@@ -352,7 +352,7 @@ struct BlockedCommWorker {
   std::atomic<uint64_t>* gathered = nullptr;
   uint32_t wid = 0;
   std::vector<MsgBlock> batch;
-  std::vector<TupleBuf> scratch;
+  TupleBatch scratch{2};
   uint64_t self_tuples = 0;
 
   SpscQueue<MsgBlock>& Ring(uint32_t from, uint32_t to) {
@@ -366,15 +366,13 @@ struct BlockedCommWorker {
     }
     uint64_t tuples = 0;
     for (const MsgBlock& b : batch) {
-      for (uint32_t t = 0; t < b.count; ++t) {
-        scratch.push_back(TupleBuf::FromWords(b.Tuple(t), b.arity));
-      }
+      scratch.Append(b.w, b.count);  // Blocks unpack with one copy.
       tuples += b.count;
     }
     if (tuples == 0) return 0;
     det->AddConsumed(wid, tuples);  // One RMW per drain.
     gathered->fetch_add(tuples, std::memory_order_relaxed);
-    benchmark::DoNotOptimize(scratch.data());
+    benchmark::DoNotOptimize(scratch.size());
     scratch.clear();
     return tuples;
   }
@@ -388,10 +386,11 @@ struct BlockedCommWorker {
   }
 
   static void SelfLoop(void* c, uint32_t, const uint64_t* wire,
-                       uint32_t arity) {
+                       [[maybe_unused]] uint32_t arity) {
     // Self-loop bypass: straight into local gather scratch.
     auto* w = static_cast<BlockedCommWorker*>(c);
-    w->scratch.push_back(TupleBuf::FromWords(wire, arity));
+    DCD_DCHECK(arity == w->scratch.arity());
+    w->scratch.Append(wire);
     ++w->self_tuples;
   }
 };
@@ -422,7 +421,7 @@ void BM_DistributeGatherBlocked(benchmark::State& state) {
           dist.EmitBatch(head, wire, 1, 2);
         }
         dist.Flush();  // Every local iteration ships partial blocks.
-        benchmark::DoNotOptimize(w.scratch.data());
+        benchmark::DoNotOptimize(w.scratch.size());
         w.scratch.clear();
         w.Drain();
       }
@@ -742,11 +741,11 @@ void MergeBench(benchmark::State& state, bool agg_index, bool cache,
   options.enable_existence_cache = cache;
   options.merge_index_backend = backend;
   Rng rng(1);
-  std::vector<std::vector<TupleBuf>> batches;
+  std::vector<TupleBatch> batches;
   for (int b = 0; b < 64; ++b) {
-    std::vector<TupleBuf> batch;
+    TupleBatch batch(2);
     for (int i = 0; i < 1024; ++i) {
-      batch.push_back({rng.Uniform(1 << 14), rng.Uniform(1 << 20)});
+      batch.Append({rng.Uniform(1 << 14), rng.Uniform(1 << 20)});
     }
     batches.push_back(std::move(batch));
   }
@@ -807,12 +806,12 @@ void MergeNoneBench(benchmark::State& state, MergeIndexBackend backend) {
   Rng rng(1);
   const int64_t total = state.range(0);
   const int64_t kBatch = 4096;
-  std::vector<std::vector<TupleBuf>> batches;
+  std::vector<TupleBatch> batches;
   for (int64_t done = 0; done < total; done += kBatch) {
-    std::vector<TupleBuf> batch;
+    TupleBatch batch(2);
     const int64_t n = std::min(kBatch, total - done);
     for (int64_t i = 0; i < n; ++i) {
-      batch.push_back({rng.Uniform(1 << 10), rng.Uniform(1 << 10)});
+      batch.Append({rng.Uniform(1 << 10), rng.Uniform(1 << 10)});
     }
     batches.push_back(std::move(batch));
   }

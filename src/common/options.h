@@ -51,7 +51,9 @@ struct EngineOptions {
   bool enable_aggregate_index = true;
 
   /// §6.2.2: constant-time existence/aggregate cache consulted before the
-  /// B+-tree index.
+  /// B+-tree index. B+-tree backend only (merge_index_backend == kBtree):
+  /// the flat backend's prefetched probe answers the same question in one
+  /// lookup, so there the cache is not allocated and this flag is inert.
   bool enable_existence_cache = true;
 
   /// §5.2.3 / Figure 7: fold min/max derivations per group inside
@@ -64,7 +66,8 @@ struct EngineOptions {
   /// (`--merge-index-backend=btree` reproduces the pre-flat numbers).
   MergeIndexBackend merge_index_backend = MergeIndexBackend::kFlat;
 
-  /// Existence-cache slots per worker (direct-mapped).
+  /// Existence-cache slots per worker partition (direct-mapped; B+-tree
+  /// backend only).
   uint32_t existence_cache_slots = 1 << 15;
 
   /// Skew-adaptive morsel stealing: a worker whose driving-tuple backlog for

@@ -60,9 +60,11 @@ struct BlockQueue {
 /// kPublished release-store, and only the single CAS winner (an idle thief,
 /// or the owner reclaiming at iteration end) executes the slice, so the
 /// slice runs exactly once and no termination round can succeed with a
-/// morsel in flight. The snapshot pointer targets the owner's stack-held
-/// LocalIteration snapshot, which outlives every slot: the owner does not
-/// leave the iteration until each published slot has returned to kEmpty.
+/// morsel in flight. The snapshot pointer targets one of the owner's
+/// WorkerContext snapshot batches, which the owner leaves untouched until
+/// each published slot has returned to kEmpty: it does not leave the
+/// iteration before then, and only the next iteration's TakeDelta swaps
+/// the batch.
 struct alignas(64) MorselSlot {
   static constexpr uint32_t kEmpty = 0;
   static constexpr uint32_t kPublished = 1;
@@ -73,7 +75,7 @@ struct alignas(64) MorselSlot {
   uint32_t replica = 0;
   uint32_t begin = 0;
   uint32_t end = 0;
-  const std::vector<TupleBuf>* snapshot = nullptr;
+  const TupleBatch* snapshot = nullptr;
 };
 
 /// Per-worker steal slots. `available` is a fast-reject gate for thieves
@@ -212,8 +214,21 @@ class SccExecutor {
     BatchPipelineRunner batch_runner;
     std::unique_ptr<Distributor> distributor;
     DwsController dws;
-    std::vector<std::vector<TupleBuf>> gather_scratch;  // Per replica.
+    /// Per replica, at its wire arity: ring-drained and self-loop tuples
+    /// staged for the next MergeBatch.
+    std::vector<TupleBatch> gather_scratch;
+    /// Per replica, at its stored arity: the delta snapshots one
+    /// LocalIteration drives. TakeDelta swaps buffers with the tables'
+    /// deltas, so neither side reallocates once the largest iteration has
+    /// been seen; published morsels point into these.
+    std::vector<TupleBatch> snapshots;
     std::vector<MsgBlock> block_scratch;
+    /// Rule-pipeline contexts: over this worker's own replicas, and over
+    /// a morsel's owner's replicas (repointed per morsel). Members, so the
+    /// scan-relation cache PreparePipeline fills keeps its capacity across
+    /// rules and iterations.
+    PipelineContext pctx;
+    PipelineContext morsel_pctx;
     uint64_t local_iter = 0;
     int64_t idle_ns = 0;
     /// True while this worker must not merge into its replicas: from the
@@ -331,7 +346,15 @@ class SccExecutor {
       }
     }
     ctx.replicas = &replicas;
-    ctx.gather_scratch.resize(replicas.size());
+    for (PipelineContext* pctx : {&ctx.pctx, &ctx.morsel_pctx}) {
+      pctx->catalog = catalog_;
+      pctx->base_indexes = base_indexes_;
+    }
+    ctx.pctx.replicas = &replicas;
+    for (const auto& table : replicas) {
+      ctx.gather_scratch.emplace_back(table->wire_arity());
+      ctx.snapshots.emplace_back(table->stored_arity());
+    }
     ctx.steal_limit.resize(replicas.size());
 
     // EDB cardinality hints: presize each replica for roughly the rows its
@@ -441,16 +464,15 @@ class SccExecutor {
   /// merges it with zero ring traffic and zero detector accounting.
   DCD_HOT_ROOT static void DistSelfSinkThunk(void* c, uint32_t replica,
                                              const uint64_t* wire,
-                                             uint32_t arity) {
+                                             [[maybe_unused]] uint32_t arity) {
     auto* ctx = static_cast<WorkerContext*>(c);
-    ctx->gather_scratch[replica].push_back(TupleBuf::FromWords(wire, arity));
+    TupleBatch& batch = ctx->gather_scratch[replica];
+    DCD_DCHECK(arity == batch.arity());
+    batch.Append(wire);
   }
 
   void RunBaseRules(WorkerContext* ctx) {
-    PipelineContext pctx;
-    pctx.catalog = catalog_;
-    pctx.base_indexes = base_indexes_;
-    pctx.replicas = ctx->replicas;
+    PipelineContext& pctx = ctx->pctx;
 
     const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.base_rules) {
@@ -479,10 +501,7 @@ class SccExecutor {
   /// hash-partitioned, a worker only holds its own slice). Rules with no
   /// recursive probes split the new rows by range instead.
   DCD_HOT_ROOT void RunUpdateRules(WorkerContext* ctx) {
-    PipelineContext pctx;
-    pctx.catalog = catalog_;
-    pctx.base_indexes = base_indexes_;
-    pctx.replicas = ctx->replicas;
+    PipelineContext& pctx = ctx->pctx;
 
     const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.update_rules) {
@@ -531,10 +550,11 @@ class SccExecutor {
       q.ring.PopBatch(&ctx->block_scratch);
       uint64_t drained = 0;
       for (const MsgBlock& block : ctx->block_scratch) {
-        auto& batch = ctx->gather_scratch[block.tag];
-        for (uint32_t t = 0; t < block.count; ++t) {
-          batch.push_back(TupleBuf::FromWords(block.Tuple(t), block.arity));
-        }
+        // Blocks pack tuples at wire arity, exactly the batch's layout:
+        // one copy unpacks the whole block.
+        TupleBatch& batch = ctx->gather_scratch[block.tag];
+        DCD_DCHECK(block.arity == batch.arity());
+        batch.Append(block.w, block.count);
         drained += block.count;
       }
       if (drained > 0) q.tuples.fetch_sub(drained, std::memory_order_relaxed);
@@ -550,7 +570,7 @@ class SccExecutor {
     // unaffected: the tuples left their rings either way.
     if (!ctx->defer_merges) {
       for (size_t r = 0; r < ctx->gather_scratch.size(); ++r) {
-        auto& batch = ctx->gather_scratch[r];
+        TupleBatch& batch = ctx->gather_scratch[r];
         if (batch.empty()) continue;
         (*ctx->replicas)[r]->MergeBatch(batch);
         batch.clear();
@@ -601,9 +621,8 @@ class SccExecutor {
   /// from the first kPublished release-store until ResolveMorsels clears
   /// it, thieves may be probing this worker's replica tables, so no merge
   /// may mutate them.
-  DCD_HOT_ROOT uint32_t PublishMorsels(
-      WorkerContext* ctx, std::vector<std::vector<TupleBuf>>* snapshots,
-      uint64_t processed) {
+  DCD_HOT_ROOT uint32_t PublishMorsels(WorkerContext* ctx,
+                                       uint64_t processed) {
     if (!options_.enable_steal || n_ <= 1) return 0;
     const uint64_t morsel = options_.steal_morsel_tuples;
     // Adaptive threshold: an explicit floor if configured, else twice the
@@ -623,8 +642,8 @@ class SccExecutor {
     uint32_t pubs = 0;
     uint64_t offered = 0;
     for (size_t r = 0;
-         r < snapshots->size() && pubs < StealBoard::kSlots; ++r) {
-      const auto& snap = (*snapshots)[r];
+         r < ctx->snapshots.size() && pubs < StealBoard::kSlots; ++r) {
+      const TupleBatch& snap = ctx->snapshots[r];
       if (snap.size() >= UINT32_MAX) continue;  // Slot offsets are 32-bit.
       // The owner keeps at least its fair 1/n share (and one morsel) —
       // stealing pays off only for the excess a single owner would
@@ -661,25 +680,22 @@ class SccExecutor {
   /// strictly read-only, and emitting through the CALLING worker's own
   /// Distributor so derived tuples take the normal partition routing and
   /// merge ownership never moves. Alloc-free on the steady path: the
-  /// caller's batch runner is reused, and
+  /// caller's batch runner and morsel pipeline context are reused, and
   /// PreparePipeline's catalog lookup short-circuits for index-join rules
   /// exactly as in LocalIteration.
   DCD_HOT_ROOT void RunMorsel(WorkerContext* ctx,
                               std::vector<std::unique_ptr<RecursiveTable>>*
                                   tables,
                               const MorselSlot& m) {
-    PipelineContext pctx;
-    pctx.catalog = catalog_;
-    pctx.base_indexes = base_indexes_;
+    PipelineContext& pctx = ctx->morsel_pctx;
     pctx.replicas = tables;
-    const uint32_t arity = (*tables)[m.replica]->stored_arity();
     const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (int rule_idx : scc_.delta_rules_by_replica[m.replica]) {
       const PhysicalRule& rule = scc_.delta_rules[rule_idx];
       PreparePipeline(rule, &pctx);
       ctx->batch_runner.Begin(rule, &pctx, batch_emit);
       for (uint32_t t = m.begin; t < m.end; ++t) {
-        ctx->batch_runner.Push((*m.snapshot)[t].Ref(arity));
+        ctx->batch_runner.Push((*m.snapshot)[t]);
       }
       ctx->batch_runner.Finish();
     }
@@ -700,7 +716,7 @@ class SccExecutor {
   /// least one morsel of runway so it never starves into the resolve wait.
   /// Returns the new slot high-water mark for ResolveMorsels.
   DCD_HOT_ROOT uint32_t TopUpMorsels(WorkerContext* ctx,
-                                     const std::vector<TupleBuf>& snap,
+                                     const TupleBatch& snap,
                                      size_t r, uint64_t done_prefix,
                                      uint32_t pubs) {
     if (snap.size() >= UINT32_MAX) return pubs;  // Slot offsets are 32-bit.
@@ -744,8 +760,8 @@ class SccExecutor {
   /// kDone. The wait drains this worker's rings so a thief blocked pushing
   /// to us always progresses; it ignores the abort flag because the thief
   /// is bounded either way (its pushes return immediately once aborted).
-  /// Clears deferred-merge mode — the snapshots the slots point into stay
-  /// alive (caller's frame) until after this returns.
+  /// Clears deferred-merge mode — the snapshot batches the slots point
+  /// into stay untouched until the next iteration's TakeDelta.
   DCD_HOT_ROOT void ResolveMorsels(WorkerContext* ctx, uint32_t pubs) {
     StealBoard& board = *steal_boards_[ctx->wid];
     for (uint32_t i = 0; i < pubs; ++i) {
@@ -842,30 +858,25 @@ class SccExecutor {
   /// rule against its driving snapshot, flush the distributor.
   DCD_HOT_ROOT void LocalIteration(WorkerContext* ctx) {
     const int64_t start = MonotonicNanos();
-    std::vector<std::vector<TupleBuf>> snapshots(ctx->replicas->size());
     uint64_t processed = 0;
     for (size_t r = 0; r < ctx->replicas->size(); ++r) {
-      snapshots[r] = (*ctx->replicas)[r]->TakeDelta();
-      processed += snapshots[r].size();
-      ctx->steal_limit[r] = snapshots[r].size();
+      (*ctx->replicas)[r]->TakeDelta(&ctx->snapshots[r]);
+      processed += ctx->snapshots[r].size();
+      ctx->steal_limit[r] = ctx->snapshots[r].size();
     }
     // Skew adaptation: a backlog past the adaptive threshold publishes its
     // tail as morsels before the rules run, shrinking steal_limit so this
     // worker only drives the prefix it kept (docs/INTERNALS.md §11).
-    uint32_t pubs = PublishMorsels(ctx, &snapshots, processed);
+    uint32_t pubs = PublishMorsels(ctx, processed);
 
-    PipelineContext pctx;
-    pctx.catalog = catalog_;
-    pctx.base_indexes = base_indexes_;
-    pctx.replicas = ctx->replicas;
+    PipelineContext& pctx = ctx->pctx;
 
     const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.delta_rules) {
       const size_t dr = rule.driving_replica;
-      const auto& snapshot = snapshots[dr];
+      const TupleBatch& snapshot = ctx->snapshots[dr];
       if (ctx->steal_limit[dr] == 0) continue;
       PreparePipeline(rule, &pctx);
-      const uint32_t arity = (*ctx->replicas)[dr]->stored_arity();
       // Re-arming tail morsels mid-rule is only sound when no other rule
       // drives this replica: the handed-off range must not already have
       // been driven (dup work) nor still be owed to a later rule (the
@@ -881,7 +892,7 @@ class SccExecutor {
             top_up ? std::min(ctx->steal_limit[dr], t + chunk)
                    : ctx->steal_limit[dr];
         for (; t < stop; ++t) {
-          ctx->batch_runner.Push(snapshot[t].Ref(arity));
+          ctx->batch_runner.Push(snapshot[t]);
         }
         if (top_up && t < ctx->steal_limit[dr]) {
           pubs = TopUpMorsels(ctx, snapshot, dr, t, pubs);

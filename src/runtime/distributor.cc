@@ -62,6 +62,7 @@ Distributor::PerPredicate& Distributor::StateFor(const HeadSpec& head) {
     pp.head = &head;
     pp.wire_arity = head.agg.wire_arity;
     pp.block_capacity = MsgBlock::CapacityFor(pp.wire_arity);
+    pp.partial_rows.Reset(pp.wire_arity);
     pp.replica_ids = scc_->ReplicasOf(head.predicate);
     DCD_CHECK(!pp.replica_ids.empty());
   }
@@ -125,14 +126,17 @@ void Distributor::EmitResolved(PerPredicate& pp, const AggSpec& spec,
   group.hi = spec.group_arity > 0 ? wire[0] : 0;
   group.lo = spec.group_arity > 1 ? wire[1] : 0;
   const uint32_t value_col = spec.stored_arity - 1;
-  auto [it, inserted] = pp.partial.try_emplace(group);
+  bool inserted = false;
+  const uint64_t* index =
+      pp.partial_index.FindOrInsert(group, pp.partial_rows.size(), &inserted);
   if (inserted) {
-    it->second = TupleBuf::FromWords(wire, spec.wire_arity);
+    pp.partial_rows.Append(wire);
     return;
   }
   ++tuples_folded_;
-  if (Better(spec, wire[value_col], it->second.v[value_col])) {
-    it->second = TupleBuf::FromWords(wire, spec.wire_arity);
+  uint64_t* best = pp.partial_rows.MutableRow(*index);
+  if (Better(spec, wire[value_col], best[value_col])) {
+    std::memcpy(best, wire, pp.wire_arity * sizeof(uint64_t));
   }
 }
 
@@ -151,11 +155,12 @@ DCD_HOT_ROOT void Distributor::EmitBatch(const HeadSpec& head,
 DCD_HOT_ROOT void Distributor::Flush() {
   DCD_AFFINITY_GUARD(owner_affinity_);
   for (PerPredicate& pp : per_pred_) {
-    if (pp.head == nullptr || pp.partial.empty()) continue;
-    for (const auto& [group, buf] : pp.partial) {
-      Route(pp, buf.v);
+    if (pp.partial_rows.empty()) continue;
+    for (size_t i = 0; i < pp.partial_rows.size(); ++i) {
+      Route(pp, pp.partial_rows[i].data);
     }
-    pp.partial.clear();
+    pp.partial_rows.clear();
+    pp.partial_index.Clear();
   }
   // Ship every partial block: nothing may linger in staging across the
   // iteration boundary, or termination detection and DWS's queue-size

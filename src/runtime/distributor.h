@@ -2,7 +2,6 @@
 #define DCDATALOG_RUNTIME_DISTRIBUTOR_H_
 
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "common/affinity.h"
@@ -11,7 +10,7 @@
 #include "common/hot_path.h"
 #include "planner/physical_plan.h"
 #include "runtime/message.h"
-#include "storage/btree.h"
+#include "storage/flat_map.h"
 #include "storage/tuple.h"
 
 namespace dcdatalog {
@@ -20,7 +19,11 @@ namespace dcdatalog {
 /// iteration derives into partitions via the hash function H and hands them
 /// to the sink (the worker's queue-push routine). For min/max heads it
 /// first performs partial aggregation (Figure 7) — only the per-group best
-/// of this iteration crosses worker boundaries.
+/// of this iteration crosses worker boundaries. The fold keeps each
+/// group's best row in a dense per-predicate TupleBatch, indexed through a
+/// FlatGroupMap (group key → row index); Flush routes the rows in
+/// first-arrival order and clears both in O(1), so a steady-state
+/// iteration folds without allocating.
 ///
 /// Communication is block-batched: tuples bound for a remote worker pack
 /// densely (wire_arity words each) into per-(destination, replica) staging
@@ -80,11 +83,6 @@ class Distributor {
   uint64_t self_loop_tuples() const { return self_loop_tuples_; }
 
  private:
-  struct U128Hash {
-    size_t operator()(const U128& k) const {
-      return static_cast<size_t>(HashCombine(k.hi, k.lo));
-    }
-  };
   struct PerPredicate {
     const HeadSpec* head = nullptr;  // Any rule's head for this predicate.
     uint32_t wire_arity = 0;
@@ -92,7 +90,10 @@ class Distributor {
                                   // Route — the division is per-predicate
                                   // state, not per-tuple work.
     std::vector<int> replica_ids;
-    std::unordered_map<U128, TupleBuf, U128Hash> partial;
+    // Partial-aggregation fold: group key → index into partial_rows, which
+    // holds each group's best wire tuple of this iteration.
+    FlatGroupMap partial_index;
+    TupleBatch partial_rows;
   };
 
   void Route(const PerPredicate& pp, const uint64_t* wire);

@@ -30,11 +30,13 @@ RecursiveTable::RecursiveTable(const std::string& name, Schema stored_schema,
       use_join_index_(needs_join_index),
       use_agg_index_(options.enable_aggregate_index),
       use_cache_(options.enable_existence_cache &&
+                 options.merge_index_backend == MergeIndexBackend::kBtree &&
                  (spec.func == AggFunc::kNone || spec.func == AggFunc::kMin ||
                   spec.func == AggFunc::kMax)),
       use_flat_(options.merge_index_backend == MergeIndexBackend::kFlat),
       sum_epsilon_(options.sum_epsilon),
       rows_(name, std::move(stored_schema)),
+      delta_(spec.stored_arity),
       exist_set_(&rows_) {
   if (use_cache_) {
     const uint64_t slots = std::bit_ceil<uint64_t>(
@@ -107,7 +109,7 @@ void RecursiveTable::PushDelta(uint64_t row_id) {
     batch_changed_rows_.push_back(row_id);
     return;
   }
-  delta_.push_back(TupleBuf(rows_.Row(row_id)));
+  delta_.Append(rows_.Row(row_id));
 }
 
 bool RecursiveTable::CacheCheckDuplicate(TupleRef tuple, uint64_t hash) const {
@@ -124,30 +126,25 @@ void RecursiveTable::CacheFill(uint64_t hash, uint64_t row_id) {
 
 bool RecursiveTable::MergeNone(const uint64_t* wire, uint64_t hash) {
   const TupleRef tuple{wire, spec_.stored_arity};
-  if (CacheCheckDuplicate(tuple, hash)) {
-    ++cache_hits_;
-    // Support counting must see every arrival, including ones the cache
-    // short-circuits — the cache slot already names the row.
-    if (maintain_counts_) {
-      exist_set_.IncrementCount(cache_slots_[hash & cache_mask_] - 1);
-    }
-    return false;
-  }
   if (use_flat_) {
     // Existence check via the flat (hash, row id) set: one linear probe,
-    // full-tuple compare only on hash-equal slots.
+    // full-tuple compare only on hash-equal slots. No existence cache in
+    // front of it — the cache would answer the same question with an
+    // extra, unprefetched read of rows_.
     const uint64_t found = exist_set_.Find(hash, tuple);
     if (found != FlatTupleSet::kNotFound) {
       if (maintain_counts_) exist_set_.IncrementCount(found);
-      CacheFill(hash, found);
       return false;
     }
     const uint64_t row_id = AppendRow(wire);
     exist_set_.Insert(hash, row_id);
     if (maintain_counts_) exist_set_.IncrementCount(row_id);
-    CacheFill(hash, row_id);
     PushDelta(row_id);
     return true;
+  }
+  if (CacheCheckDuplicate(tuple, hash)) {
+    ++cache_hits_;
+    return false;
   }
   // Existence check via the B+-tree keyed (hash, row id); compare rows to
   // rule out hash collisions.
@@ -173,8 +170,9 @@ bool RecursiveTable::MergeMinMax(const uint64_t* wire) {
   const uint64_t candidate = wire[value_col];
   const uint64_t ghash = HashCombine(group.hi, group.lo);
 
-  // Constant-time cache probe: the slot remembers the group's row, whose
-  // value is always current because updates happen in place.
+  // Constant-time cache probe (B+-tree backend only): the slot remembers
+  // the group's row, whose value is always current because updates happen
+  // in place.
   if (use_cache_) {
     const uint64_t slot = cache_slots_[ghash & cache_mask_];
     if (slot != 0) {
@@ -395,15 +393,6 @@ void RecursiveTable::CompactRemoveRows(
   batch_changed_rows_.clear();
 }
 
-void RecursiveTable::SeedDeltaWithAllRows() {
-  DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
-  const uint64_t n = rows_.size();
-  delta_.reserve(delta_.size() + n);
-  for (uint64_t r = 0; r < n; ++r) {
-    delta_.push_back(TupleBuf(rows_.Row(r)));
-  }
-}
-
 void RecursiveTable::ResetStats() {
   merges_ = 0;
   accepts_ = 0;
@@ -413,8 +402,7 @@ void RecursiveTable::ResetStats() {
                      flat_contrib_.probe_cmps();
 }
 
-void RecursiveTable::MergeMinMaxBatchByScan(
-    const std::vector<TupleBuf>& wires) {
+void RecursiveTable::MergeMinMaxBatchByScan(const TupleBatch& wires) {
   // Unoptimized baseline (Table 4 ablation, "w/o"): reduce the batch to its
   // best value per group, then find existing groups with one linear scan of
   // the stored rows instead of index lookups.
@@ -426,14 +414,15 @@ void RecursiveTable::MergeMinMaxBatchByScan(
   std::unordered_map<uint64_t, PendingBest> best;  // keyed by group hash
   best.reserve(wires.size());
   const uint32_t value_col = spec_.stored_arity - 1;
-  for (const TupleBuf& w : wires) {
+  for (size_t i = 0; i < wires.size(); ++i) {
     ++merges_;
-    const U128 g = GroupKey(w.v);
+    const uint64_t* w = wires[i].data;
+    const U128 g = GroupKey(w);
     const uint64_t gh = HashCombine(g.hi, g.lo);
-    auto [it, inserted] = best.try_emplace(gh, PendingBest{w.v[value_col], w.v});
-    if (!inserted && BetterValue(w.v[value_col], it->second.value)) {
-      it->second.value = w.v[value_col];
-      it->second.wire = w.v;
+    auto [it, inserted] = best.try_emplace(gh, PendingBest{w[value_col], w});
+    if (!inserted && BetterValue(w[value_col], it->second.value)) {
+      it->second.value = w[value_col];
+      it->second.wire = w;
     }
   }
   // One pass over all stored rows: update groups present in the batch.
@@ -472,9 +461,11 @@ void RecursiveTable::MergeMinMaxBatchByScan(
   }
 }
 
-DCD_HOT_ROOT void RecursiveTable::MergeBatch(const std::vector<TupleBuf>& wires) {
+DCD_HOT_ROOT void RecursiveTable::MergeBatch(const TupleBatch& wires) {
   DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
   if (wires.empty()) return;
+  DCD_DCHECK(wires.arity() == spec_.wire_arity);
+  const size_t n = wires.size();
   if (spec_.func == AggFunc::kNone) {
     // Plain dedup: every accept is a distinct new row, no amplification.
     // Pipelined probe: hash the whole batch up front, then prefetch each
@@ -483,17 +474,14 @@ DCD_HOT_ROOT void RecursiveTable::MergeBatch(const std::vector<TupleBuf>& wires)
     // instead of serializing (hash-join probe pipelining). A mid-batch
     // rehash only strands the few in-flight prefetches — later ones use
     // the new mask automatically.
-    const size_t n = wires.size();
     batch_hashes_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch_hashes_[i] = TupleRef{wires[i].v, spec_.stored_arity}.Hash();
-    }
+    for (size_t i = 0; i < n; ++i) batch_hashes_[i] = wires[i].Hash();
     for (size_t i = 0; i < n; ++i) {
       if (use_flat_ && i + kPrefetchDistance < n) {
         exist_set_.Prefetch(batch_hashes_[i + kPrefetchDistance]);
       }
       ++merges_;
-      MergeNone(wires[i].v, batch_hashes_[i]);
+      MergeNone(wires[i].data, batch_hashes_[i]);
     }
     return;
   }
@@ -505,16 +493,23 @@ DCD_HOT_ROOT void RecursiveTable::MergeBatch(const std::vector<TupleBuf>& wires)
       (spec_.func == AggFunc::kMin || spec_.func == AggFunc::kMax)) {
     MergeMinMaxBatchByScan(wires);
   } else {
-    for (const TupleBuf& w : wires) MergeWire(w.v);
+    // Min/max on the flat backend probes the group map once per wire;
+    // prefetch that home slot ahead, as the kNone path does.
+    const bool prefetch = use_flat_ && (spec_.func == AggFunc::kMin ||
+                                        spec_.func == AggFunc::kMax);
+    for (size_t i = 0; i < n; ++i) {
+      if (prefetch && i + kPrefetchDistance < n) {
+        flat_group_.Prefetch(GroupKey(wires[i + kPrefetchDistance].data));
+      }
+      MergeWire(wires[i].data);
+    }
   }
   batch_mode_ = false;
   std::sort(batch_changed_rows_.begin(), batch_changed_rows_.end());
   batch_changed_rows_.erase(
       std::unique(batch_changed_rows_.begin(), batch_changed_rows_.end()),
       batch_changed_rows_.end());
-  for (uint64_t row_id : batch_changed_rows_) {
-    delta_.push_back(TupleBuf(rows_.Row(row_id)));
-  }
+  for (uint64_t row_id : batch_changed_rows_) delta_.Append(rows_.Row(row_id));
 }
 
 }  // namespace dcdatalog

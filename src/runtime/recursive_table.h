@@ -21,8 +21,9 @@ namespace dcdatalog {
 /// One worker's partition of one replica of a recursive (or derived)
 /// predicate: the stored rows R_i, the indexes that implement semi-naive
 /// set-difference and aggregate merging (paper §6.2.1), the optional
-/// existence cache (§6.2.2), the join index probed by non-linear rules,
-/// and the delta δR_i feeding the next local iteration.
+/// existence cache (§6.2.2, B+-tree backend only), the join index probed
+/// by non-linear rules, and the delta δR_i feeding the next local
+/// iteration.
 ///
 /// Merge semantics by aggregate function (wire → stored):
 ///   none:   insert if the full tuple is new (existence index).
@@ -37,9 +38,12 @@ namespace dcdatalog {
 /// open-addressed structures (FlatTupleSet for kNone existence,
 /// FlatGroupMap for group → row and contributor → value) with a
 /// prefetch-pipelined kNone MergeBatch; the `btree` backend keeps the
-/// original B+-tree indexes as the Table 4 ablation baseline. Both produce
-/// identical stored rows and deltas (cross-checked by the differential
-/// fuzzer's backend axis).
+/// original B+-tree indexes as the Table 4 ablation baseline. The §6.2.2
+/// existence cache sits in front of the B+-tree only, where the paper puts
+/// it: on the flat backend the prefetched flat probe already answers the
+/// same question in one lookup, so a cache read ahead of it is pure cost.
+/// Both backends produce identical stored rows and deltas (cross-checked by
+/// the differential fuzzer's backend axis).
 ///
 /// Every state change appends the new stored row to the delta. Not
 /// internally synchronized — each worker owns its tables.
@@ -53,7 +57,7 @@ class RecursiveTable {
   /// per-tuple indexed merge; without it, aggregate groups are merged by a
   /// single linear scan over the stored rows (the paper's unoptimized
   /// baseline for the Table 4 ablation).
-  void MergeBatch(const std::vector<TupleBuf>& wires);
+  void MergeBatch(const TupleBatch& wires);
 
   /// Merges one wire tuple through the indexed path. Returns true if the
   /// table changed (and the delta grew).
@@ -66,21 +70,23 @@ class RecursiveTable {
   void ReserveHint(uint64_t expected_rows);
 
   // --- Delta (δR_i) ---
-  const std::vector<TupleBuf>& delta() const { return delta_; }
+  const TupleBatch& delta() const { return delta_; }
   uint64_t delta_size() const { return delta_.size(); }
   void ClearDelta() {
     DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
     delta_.clear();
   }
 
-  /// Moves the current delta out and leaves an empty one. The worker
-  /// iterates the snapshot while backpressure-driven gathers may grow the
-  /// fresh delta concurrently (same thread, interleaved calls).
-  std::vector<TupleBuf> TakeDelta() {
+  /// Swaps the current delta into `*snapshot` and leaves an empty delta
+  /// holding the snapshot's old buffer. The worker iterates the snapshot
+  /// while backpressure-driven gathers may grow the fresh delta
+  /// concurrently (same thread, interleaved calls). A worker that keeps one
+  /// snapshot batch per replica reallocates neither side once its largest
+  /// iteration has been seen.
+  void TakeDelta(TupleBatch* snapshot) {
     DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
-    std::vector<TupleBuf> out = std::move(delta_);
-    delta_.clear();
-    return out;
+    snapshot->Reset(spec_.stored_arity);
+    snapshot->swap(delta_);
   }
 
   // --- Stored rows ---
@@ -112,12 +118,11 @@ class RecursiveTable {
   // --- Incremental maintenance (retained tables between update batches) ---
 
   /// Enables per-row support counting (kNone + flat backend only): every
-  /// arrival of a tuple — fresh insert, duplicate find, or existence-cache
-  /// hit — bumps the row's derivation counter riding beside the flat
-  /// existence set's slots. In a non-recursive stratum arrivals equal
-  /// derivations exactly, so a deletion can decrement to zero instead of
-  /// running the DRed over-delete/re-derive cycle. Must be called before
-  /// the first merge.
+  /// arrival of a tuple — fresh insert or duplicate find — bumps the row's
+  /// derivation counter riding beside the flat existence set's slots. In a
+  /// non-recursive stratum arrivals equal derivations exactly, so a
+  /// deletion can decrement to zero instead of running the DRed
+  /// over-delete/re-derive cycle. Must be called before the first merge.
   void EnableSupportCounts();
   bool support_counts_enabled() const { return maintain_counts_; }
   uint64_t SupportCount(uint64_t row_id) const {
@@ -141,11 +146,6 @@ class RecursiveTable {
   /// support counts, when enabled). kNone only — aggregate deletion falls
   /// back to full recomputation at the engine level.
   void CompactRemoveRows(const std::vector<uint64_t>& dead_row_ids);
-
-  /// Seeds the delta with every stored row — the DRed re-derivation
-  /// restart, where surviving tuples must re-enter the semi-naive loop so
-  /// derivations that consumed over-deleted tuples can be rebuilt.
-  void SeedDeltaWithAllRows();
 
   /// Hands the partition to a new owning thread: incremental sessions
   /// retain tables across ApplyUpdates batches but spawn fresh workers for
@@ -204,9 +204,10 @@ class RecursiveTable {
   void InsertGroup(const U128& group, uint64_t row_id);
 
   /// Linear-scan merge for min/max batches (ablation path).
-  void MergeMinMaxBatchByScan(const std::vector<TupleBuf>& wires);
+  void MergeMinMaxBatchByScan(const TupleBatch& wires);
 
   // Existence cache (§6.2.2): direct-mapped, one slot = candidate row id+1.
+  // Allocated (use_cache_) only in front of the B+-tree backend.
   bool CacheCheckDuplicate(TupleRef tuple, uint64_t hash) const;
   void CacheFill(uint64_t hash, uint64_t row_id);
 
@@ -219,7 +220,7 @@ class RecursiveTable {
   const double sum_epsilon_;
 
   Relation rows_;
-  std::vector<TupleBuf> delta_;
+  TupleBatch delta_;
 
   // --- btree backend (Table 4 ablation baseline) ---
   // For kNone: key = (tuple hash, row id) — exact after row comparison.

@@ -16,8 +16,13 @@ namespace dcdatalog {
 /// cache-friendly replacement for the merge path's B+-tree indexes:
 ///   min/max:   group key        → row id of the group's current row
 ///   count/sum: (group, contrib) → contributor's last value word
-/// Linear probing over 32-byte slots (key + value + occupancy, two per
-/// cache line); tombstone-free (merge never deletes); grows at ~60 % load.
+/// and the Distributor's partial-aggregation fold (group key → index of
+/// the group's best row this iteration).
+/// Linear probing over 32-byte slots (key + value + epoch stamp, two per
+/// cache line); tombstone-free (no single-key delete); grows at ~60 % load.
+/// A slot is occupied only while its stamp equals the map's epoch, so
+/// Clear() empties the map in O(1) by advancing the epoch — the fold map is
+/// cleared once per iteration without touching its slots.
 /// Values are updated in place through the returned pointer, which stays
 /// valid until the next FindOrInsert or Reserve (those may rehash).
 ///
@@ -27,6 +32,13 @@ class FlatGroupMap {
   FlatGroupMap() {
     slots_.assign(kInitialSlots, Slot{});
     mask_ = kInitialSlots - 1;
+  }
+
+  /// Empties the map, keeping its slot array (capacity is never given
+  /// back). Slots stamped with an older epoch read as empty.
+  void Clear() {
+    ++epoch_;
+    size_ = 0;
   }
 
   uint64_t size() const { return size_; }
@@ -52,7 +64,7 @@ class FlatGroupMap {
   uint64_t* Find(const U128& key) {
     for (uint64_t s = Hash(key) & mask_;; s = (s + 1) & mask_) {
       Slot& slot = slots_[s];
-      if (!slot.used) return nullptr;
+      if (slot.epoch != epoch_) return nullptr;
       ++probe_cmps_;
       if (slot.key == key) return &slot.value;
     }
@@ -71,10 +83,10 @@ class FlatGroupMap {
     if ((size_ + 1) * 5 >= slots_.size() * 3) Rehash(slots_.size() * 2);
     for (uint64_t s = Hash(key) & mask_;; s = (s + 1) & mask_) {
       Slot& slot = slots_[s];
-      if (!slot.used) {
+      if (slot.epoch != epoch_) {
         slot.key = key;
         slot.value = value;
-        slot.used = 1;
+        slot.epoch = epoch_;
         ++size_;
         *inserted = true;
         return &slot.value;
@@ -93,7 +105,8 @@ class FlatGroupMap {
   struct Slot {
     U128 key;
     uint64_t value = 0;
-    uint64_t used = 0;  // Full word keeps the slot 32 B / naturally aligned.
+    uint64_t epoch = 0;  // Occupied iff == epoch_; a full word keeps the
+                         // slot 32 B / naturally aligned.
   };
 
   static uint64_t Hash(const U128& key) { return HashCombine(key.hi, key.lo); }
@@ -105,9 +118,9 @@ class FlatGroupMap {
     slots_.assign(new_slots, Slot{});
     mask_ = new_slots - 1;
     for (const Slot& slot : old) {
-      if (!slot.used) continue;
+      if (slot.epoch != epoch_) continue;
       uint64_t s = Hash(slot.key) & mask_;
-      while (slots_[s].used) s = (s + 1) & mask_;
+      while (slots_[s].epoch == epoch_) s = (s + 1) & mask_;
       slots_[s] = slot;
     }
   }
@@ -115,6 +128,7 @@ class FlatGroupMap {
   std::vector<Slot> slots_;
   uint64_t mask_ = 0;
   uint64_t size_ = 0;
+  uint64_t epoch_ = 1;  // Fresh slots carry epoch 0: empty.
   mutable uint64_t probe_cmps_ = 0;
 };
 

@@ -84,10 +84,10 @@ class FlatTupleSet {
   /// stored row, riding beside the slot table and keyed by row id so growth
   /// rehashes never have to move them. Off by default (no memory cost for
   /// plain evaluation); an incremental session enables them and bumps the
-  /// counter on *every* arrival of a tuple — insert, duplicate, or
-  /// existence-cache hit — so in a non-recursive stratum the counter equals
-  /// the number of surviving derivations and a deletion can decrement to
-  /// zero instead of recomputing.
+  /// counter on *every* arrival of a tuple — insert or duplicate — so in a
+  /// non-recursive stratum the counter equals the number of surviving
+  /// derivations and a deletion can decrement to zero instead of
+  /// recomputing.
   void EnableCounts() { counts_enabled_ = true; }
   bool counts_enabled() const { return counts_enabled_; }
 

@@ -1,8 +1,9 @@
 #include "storage/text_io.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace dcdatalog {
@@ -34,6 +35,32 @@ Result<Schema> ParseSchemaSpec(const std::string& spec) {
   return Schema(std::move(cols));
 }
 
+namespace {
+
+// The separator set of `std::istream >> std::string` in the classic
+// locale: the loader splits tokens exactly where the stream-based loader
+// it replaced did.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+// Both parse a NUL-terminated token and accept it only if it is consumed
+// whole.
+bool ParseInt(const char* token, int64_t* out) {
+  char* stop = nullptr;
+  *out = std::strtoll(token, &stop, 10);
+  return stop != token && *stop == '\0';
+}
+
+bool ParseDouble(const char* token, double* out) {
+  char* stop = nullptr;
+  *out = std::strtod(token, &stop);
+  return stop != token && *stop == '\0';
+}
+
+}  // namespace
+
 Result<Relation> LoadRelationFile(const std::string& name,
                                   const Schema& schema,
                                   const std::string& path, StringDict* dict) {
@@ -46,37 +73,49 @@ Result<Relation> LoadRelationFile(const std::string& name,
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
-    std::string token;
+    // Tokens are NUL-terminated in place for the C parsers: no per-line
+    // stream and no per-token string.
+    char* const base = line.data();
+    const size_t eol = line.size();
+    size_t p = 0;
     for (size_t c = 0; c < schema.arity(); ++c) {
-      if (!(ls >> token)) {
+      while (p < eol && IsSpace(base[p])) ++p;
+      if (p == eol) {
         return Status::ParseError("row too short at " + path + ":" +
                                   std::to_string(line_no));
       }
+      const size_t tok = p;
+      while (p < eol && !IsSpace(base[p])) ++p;
+      // base[p] is a separator or the string's own NUL; borrow it as the
+      // token's terminator (restored below).
+      const char saved = base[p];
+      base[p] = '\0';
+      const char* token = base + tok;
+      bool ok = true;
       switch (schema.type(c)) {
         case ColumnType::kInt: {
-          char* end = nullptr;
-          const int64_t v = std::strtoll(token.c_str(), &end, 10);
-          if (end == token.c_str() || *end != '\0') {
-            return Status::ParseError("bad int '" + token + "' at " + path +
-                                      ":" + std::to_string(line_no));
-          }
+          int64_t v = 0;
+          ok = ParseInt(token, &v);
           row[c] = WordFromInt(v);
           break;
         }
         case ColumnType::kDouble: {
-          char* end = nullptr;
-          const double v = std::strtod(token.c_str(), &end);
-          if (end == token.c_str() || *end != '\0') {
-            return Status::ParseError("bad double '" + token + "' at " +
-                                      path + ":" + std::to_string(line_no));
-          }
+          double v = 0;
+          ok = ParseDouble(token, &v);
           row[c] = WordFromDouble(v);
           break;
         }
         case ColumnType::kString:
-          row[c] = dict->Intern(token);
+          row[c] = dict->Intern(std::string_view(token, p - tok));
           break;
+      }
+      base[p] = saved;
+      if (!ok) {
+        const bool is_int = schema.type(c) == ColumnType::kInt;
+        return Status::ParseError(
+            std::string(is_int ? "bad int '" : "bad double '") +
+            std::string(token, p - tok) + "' at " + path + ":" +
+            std::to_string(line_no));
       }
     }
     rel.Append(TupleRef{row.data(), static_cast<uint32_t>(row.size())});
@@ -88,29 +127,47 @@ Status WriteRelationFile(const Relation& relation, const std::string& path,
                          const StringDict* dict) {
   std::ofstream out(path);
   if (!out) return Status::RuntimeError("cannot write: " + path);
+  // Rows are formatted into `text` and written in pieces of about 64 KiB:
+  // one ofstream call per piece instead of one per field.
+  constexpr size_t kWriteChunkBytes = 64 << 10;
+  std::string text;
+  // An int64/uint64 takes at most 20 chars, a %g double such as
+  // "-1.79769e+308" 13.
+  char num[32];
+  const auto append_num = [&](auto value, auto... format) {
+    text.append(num, std::to_chars(num, num + sizeof(num), value, format...)
+                         .ptr);
+  };
   const Schema& schema = relation.schema();
   for (uint64_t r = 0; r < relation.size(); ++r) {
     TupleRef row = relation.Row(r);
     for (uint32_t c = 0; c < relation.arity(); ++c) {
-      if (c > 0) out << '\t';
+      if (c > 0) text += '\t';
       switch (schema.type(c)) {
         case ColumnType::kInt:
-          out << IntFromWord(row[c]);
+          append_num(IntFromWord(row[c]));
           break;
         case ColumnType::kDouble:
-          out << DoubleFromWord(row[c]);
+          // Precision-6 general format: the bytes `ostream << double`
+          // (printf "%g") produces.
+          append_num(DoubleFromWord(row[c]), std::chars_format::general, 6);
           break;
         case ColumnType::kString:
           if (dict != nullptr) {
-            out << dict->Get(row[c]);
+            text += dict->Get(row[c]);
           } else {
-            out << row[c];
+            append_num(row[c]);
           }
           break;
       }
     }
-    out << '\n';
+    text += '\n';
+    if (text.size() >= kWriteChunkBytes) {
+      out.write(text.data(), static_cast<std::streamsize>(text.size()));
+      text.clear();
+    }
   }
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   return Status::OK();
 }
 

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -12,7 +14,7 @@ namespace dcdatalog {
 
 /// Maximum tuple arity the engine supports. The paper's workloads peak at 3
 /// columns (weighted edges, APSP paths); 8 leaves slack for user programs
-/// while keeping the fixed message-buffer element exactly one cache line.
+/// and bounds the stack scratch the merge paths build rows in.
 inline constexpr uint32_t kMaxArity = 8;
 
 /// Non-owning view of one row: `arity` consecutive 64-bit words. Cheap to
@@ -34,45 +36,83 @@ struct TupleRef {
   }
 };
 
-/// Owning fixed-capacity tuple; the element type of the inter-worker SPSC
-/// message buffers (paper §6.1). Trivially copyable, 64-byte payload.
-struct TupleBuf {
-  uint64_t v[kMaxArity];
+/// Owning dense batch of same-arity tuples: `arity` 64-bit words per tuple,
+/// packed back to back — the one tuple container of the data path (gather
+/// staging, RecursiveTable::MergeBatch input, deltas and their per-worker
+/// snapshots, morsel slices). A tuple costs exactly its arity in words, and
+/// a whole ring block unpacks with one copy. clear() keeps the capacity, so
+/// a batch reused across iterations stops allocating once it has held its
+/// largest iteration.
+class TupleBatch {
+ public:
+  TupleBatch() = default;
+  explicit TupleBatch(uint32_t arity) : arity_(arity) {}
 
-  TupleBuf() = default;
-
-  explicit TupleBuf(TupleRef ref) {
-    DCD_DCHECK(ref.arity <= kMaxArity);
-    std::memcpy(v, ref.data, ref.arity * sizeof(uint64_t));
-    ZeroTail(ref.arity);
+  /// Literal batch, one inner list per tuple (tests and benches).
+  TupleBatch(uint32_t arity,
+             std::initializer_list<std::initializer_list<uint64_t>> tuples)
+      : arity_(arity) {
+    for (const auto& tuple : tuples) Append(tuple);
   }
 
-  TupleBuf(std::initializer_list<uint64_t> init) {
-    DCD_DCHECK(init.size() <= kMaxArity);
-    size_t i = 0;
-    for (uint64_t w : init) v[i++] = w;
-    ZeroTail(static_cast<uint32_t>(i));
+  uint32_t arity() const { return arity_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  TupleRef operator[](size_t i) const {
+    DCD_DCHECK(i < size_);
+    return TupleRef{words_.data() + i * arity_, arity_};
   }
 
-  /// Copies `n` wire words and zero-fills the tail, so full 64-byte copies
-  /// of the buffer never read uninitialized memory (MSan/valgrind clean).
-  static TupleBuf FromWords(const uint64_t* words, uint32_t n) {
-    DCD_DCHECK(n <= kMaxArity);
-    TupleBuf buf;
-    std::memcpy(buf.v, words, n * sizeof(uint64_t));
-    buf.ZeroTail(n);
-    return buf;
+  uint64_t* MutableRow(size_t i) {
+    DCD_DCHECK(i < size_);
+    return words_.data() + i * arity_;
   }
 
-  TupleRef Ref(uint32_t arity) const { return TupleRef{v, arity}; }
+  /// Appends one tuple of arity() words.
+  void Append(const uint64_t* tuple) { Append(tuple, 1); }
+
+  /// Appends `count` tuples packed densely at `tuples` (arity() words each).
+  void Append(const uint64_t* tuples, size_t count) {
+    const size_t at = words_.size();
+    const size_t n = count * arity_;
+    words_.resize(at + n);
+    std::memcpy(words_.data() + at, tuples, n * sizeof(uint64_t));
+    size_ += count;
+  }
+
+  void Append(TupleRef ref) {
+    DCD_DCHECK(ref.arity == arity_);
+    Append(ref.data);
+  }
+
+  void Append(std::initializer_list<uint64_t> tuple) {
+    DCD_DCHECK(tuple.size() == arity_);
+    Append(tuple.begin());
+  }
+
+  void clear() {
+    words_.clear();
+    size_ = 0;
+  }
+
+  /// Empties the batch and sets a new arity, keeping the capacity.
+  void Reset(uint32_t arity) {
+    clear();
+    arity_ = arity;
+  }
+
+  void swap(TupleBatch& other) noexcept {
+    words_.swap(other.words_);
+    std::swap(size_, other.size_);
+    std::swap(arity_, other.arity_);
+  }
 
  private:
-  void ZeroTail(uint32_t from) {
-    std::memset(v + from, 0, (kMaxArity - from) * sizeof(uint64_t));
-  }
+  std::vector<uint64_t> words_;
+  size_t size_ = 0;
+  uint32_t arity_ = 0;
 };
-
-static_assert(sizeof(TupleBuf) == 64, "TupleBuf should be one cache line");
 
 }  // namespace dcdatalog
 

@@ -61,14 +61,19 @@ class Shrinker {
  private:
   bool HasBudget() const { return probes_ < options_.max_probes; }
 
-  /// Probes a candidate; on reproduction it becomes the new best.
+  /// Probes a candidate up to kAttemptsPerCandidate times, stopping at the
+  /// first failing run; on reproduction it becomes the new best.
   bool Try(const FuzzCase& candidate, uint32_t workers) {
-    if (!HasBudget()) return false;
-    ++probes_;
-    if (!still_fails_(candidate, workers)) return false;
-    best_ = candidate;
-    workers_ = workers;
-    return true;
+    for (uint32_t attempt = 0; attempt < kAttemptsPerCandidate; ++attempt) {
+      if (!HasBudget()) return false;
+      ++probes_;
+      if (still_fails_(candidate, workers)) {
+        best_ = candidate;
+        workers_ = workers;
+        return true;
+      }
+    }
+    return false;
   }
 
   bool DropRules() {

@@ -20,10 +20,17 @@ namespace testing_gen {
 using StillFailsFn =
     std::function<bool(const FuzzCase& candidate, uint32_t num_workers)>;
 
+/// Runs per candidate: a candidate is kept as soon as one run fails and
+/// dropped only after this many runs pass, so a failure that reproduces
+/// only now and then (a race, a schedule-dependent termination bug) still
+/// shrinks instead of reading as "fixed" on its first passing run.
+inline constexpr uint32_t kAttemptsPerCandidate = 3;
+
 struct MinimizeOptions {
-  /// Upper bound on StillFailsFn probes; each probe re-evaluates the case,
-  /// so this caps total shrink cost.
-  uint32_t max_probes = 250;
+  /// Upper bound on StillFailsFn invocations; each one re-evaluates the
+  /// case, so this caps total shrink cost. A rejected candidate costs
+  /// kAttemptsPerCandidate invocations.
+  uint32_t max_probes = 750;
 };
 
 struct MinimizeResult {
@@ -39,8 +46,8 @@ struct MinimizeResult {
 ///   3. shrink the update script — drop whole batches, halve each batch's
 ///      op list, then drop single ops (no-op when the case has no updates),
 ///   4. lower the worker count.
-/// The result is the smallest case the budget reached; it is guaranteed to
-/// still satisfy `still_fails`.
+/// The result is the smallest case the budget reached; `still_fails` held
+/// on it at least once.
 MinimizeResult Minimize(const FuzzCase& failing, uint32_t num_workers,
                         const StillFailsFn& still_fails,
                         const MinimizeOptions& options = {});

@@ -78,12 +78,12 @@ TEST_F(AffinityDeathTest, ForeignRecursiveTableWriteAborts) {
   // distributor_offbyone fault injects downstream of the rings.
   RecursiveTable t("r", Schema::Ints(2), PlainSpec(2), 0, false,
                    EngineOptions{});
-  const std::vector<TupleBuf> batch = {{1, 2}};
+  const TupleBatch batch(2, {{1, 2}});
   t.MergeBatch(batch);  // Main thread claims the writer role.
   EXPECT_DEATH(
       RunOnOtherThread(
           [](void* arg) {
-            const std::vector<TupleBuf> foreign = {{3, 4}};
+            const TupleBatch foreign(2, {{3, 4}});
             static_cast<RecursiveTable*>(arg)->MergeBatch(foreign);
           },
           &t),
@@ -99,9 +99,9 @@ TEST_F(AffinityDeathTest, MorselExecutorWriteAborts) {
   // outside the scope.
   RecursiveTable t("r", Schema::Ints(2), PlainSpec(2), 0, false,
                    EngineOptions{});
-  const std::vector<TupleBuf> batch = {{1, 2}};
+  const TupleBatch batch(2, {{1, 2}});
   t.MergeBatch(batch);  // Main thread claims the writer role.
-  const std::vector<TupleBuf> more = {{3, 4}};
+  const TupleBatch more(2, {{3, 4}});
   const auto write_inside_morsel_scope = [&t, &more] {
     DCD_AFFINITY_MORSEL_SCOPE();
     t.MergeBatch(more);
@@ -121,7 +121,7 @@ TEST_F(AffinityDeathTest, MorselScopeEndsWithScope) {
     EXPECT_TRUE(AffinityThreadIsMorselExecutor());
   }
   EXPECT_FALSE(AffinityThreadIsMorselExecutor());
-  const std::vector<TupleBuf> batch = {{1, 2}};
+  const TupleBatch batch(2, {{1, 2}});
   t.MergeBatch(batch);
   EXPECT_EQ(t.rows().size(), 1u);
 }
@@ -148,7 +148,7 @@ TEST_F(AffinityDeathTest, SameThreadHoldsEveryRole) {
   EXPECT_EQ(out, 1);
   RecursiveTable t("r", Schema::Ints(2), PlainSpec(2), 0, false,
                    EngineOptions{});
-  const std::vector<TupleBuf> batch = {{1, 2}};
+  const TupleBatch batch(2, {{1, 2}});
   t.MergeBatch(batch);
   EXPECT_EQ(t.rows().size(), 1u);
 }

@@ -152,6 +152,32 @@ TEST(MinimizerTest, ShrinksToOneMinimalCase) {
   EXPECT_TRUE(still_fails(result.reduced, result.num_workers));
 }
 
+TEST(MinimizerTest, ShrinksAFailureThatReproducesOnlyNowAndThen) {
+  // The same synthetic bug, but it shows only on every third run, as a
+  // race does. A minimizer that trusts one passing run per candidate reads
+  // most reproducing candidates as fixed; it must still reach the minimum.
+  FuzzCase failing;
+  failing.program =
+      "a(X, Y) :- arc(X, Y).\n"
+      "b(X, Y) :- arc(X, Y).\n"
+      "b(X, Y) :- b(X, Z), arc(Z, Y).\n";
+  failing.outputs = {"a", "b"};
+  for (uint64_t i = 0; i < 8; ++i) failing.graph.AddEdge(i, i + 1);
+
+  uint32_t calls = 0;
+  const auto flaky = [&calls](const FuzzCase& c, uint32_t) {
+    ++calls;
+    return calls % 3 == 0 && c.graph.num_edges() >= 1 &&
+           c.program.find("b(X, Y) :- b(X, Z)") != std::string::npos;
+  };
+  const auto result = Minimize(failing, /*num_workers=*/4, flaky);
+
+  EXPECT_EQ(result.reduced.program, "b(X, Y) :- b(X, Z), arc(Z, Y).\n");
+  EXPECT_EQ(result.reduced.graph.num_edges(), 1u);
+  EXPECT_EQ(result.num_workers, 1u);
+  EXPECT_EQ(result.probes, calls);
+}
+
 TEST(MinimizerTest, RespectsProbeBudget) {
   FuzzCase failing;
   failing.program = "a(X, Y) :- arc(X, Y).\n";

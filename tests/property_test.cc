@@ -46,7 +46,7 @@ std::string ConfigName(const Config& c) {
   std::string name = CoordinationModeName(c.mode);
   name += "_w" + std::to_string(c.workers);
   name += c.agg_index ? "_idx" : "_scan";
-  name += c.cache ? "_cache" : "_nocache";
+  name += c.cache ? "_btree_cache" : "_nocache";
   name += "_q" + std::to_string(c.spsc_capacity);
   return name;
 }
@@ -60,6 +60,9 @@ class ConfigSweep : public ::testing::TestWithParam<Config> {
     o.num_workers = c.workers;
     o.enable_aggregate_index = c.agg_index;
     o.enable_existence_cache = c.cache;
+    // The existence cache sits in front of the B+-tree only; the flat
+    // backend's own probe answers the same question.
+    if (c.cache) o.merge_index_backend = MergeIndexBackend::kBtree;
     o.spsc_capacity = c.spsc_capacity;
     return o;
   }
@@ -75,6 +78,12 @@ TEST_P(ConfigSweep, TcMatchesReference) {
   auto ref = ReferenceEvaluate(*db.program(), db.catalog());
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(RowSet(*db.ResultFor("tc")), RowSet(ref.value().at("tc")));
+  // TC re-derives rows, so the cache configurations must hit the cache.
+  if (GetParam().cache) {
+    EXPECT_GT(stats.value().cache_hits, 0u);
+  } else {
+    EXPECT_EQ(stats.value().cache_hits, 0u);
+  }
 }
 
 TEST_P(ConfigSweep, SsspMatchesReference) {

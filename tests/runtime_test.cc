@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "common/random.h"
 #include "planner/physical_plan.h"
@@ -137,12 +139,12 @@ class RecursiveTableModes
 TEST_P(RecursiveTableModes, NoneDeduplicates) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
                    false, Opts());
-  std::vector<TupleBuf> batch = {{1, 2}, {1, 2}, {3, 4}, {1, 2}};
+  TupleBatch batch(2, {{1, 2}, {1, 2}, {3, 4}, {1, 2}});
   t.MergeBatch(batch);
   EXPECT_EQ(t.rows().size(), 2u);
   EXPECT_EQ(t.delta_size(), 2u);
   t.ClearDelta();
-  std::vector<TupleBuf> batch2 = {{3, 4}, {5, 6}};
+  TupleBatch batch2(2, {{3, 4}, {5, 6}});
   t.MergeBatch(batch2);
   EXPECT_EQ(t.rows().size(), 3u);
   EXPECT_EQ(t.delta_size(), 1u);
@@ -151,19 +153,19 @@ TEST_P(RecursiveTableModes, NoneDeduplicates) {
 TEST_P(RecursiveTableModes, MinKeepsBestAndUpdatesInPlace) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
                    false, Opts());
-  std::vector<TupleBuf> batch = {{1, WordFromInt(9)}, {2, WordFromInt(4)}};
+  TupleBatch batch(2, {{1, WordFromInt(9)}, {2, WordFromInt(4)}});
   t.MergeBatch(batch);
   EXPECT_EQ(t.rows().size(), 2u);
   EXPECT_EQ(t.delta_size(), 2u);
   t.ClearDelta();
   // Worse value ignored; better value updates the same row.
-  std::vector<TupleBuf> batch2 = {{1, WordFromInt(12)},
-                                  {1, WordFromInt(3)},
-                                  {2, WordFromInt(4)}};
+  TupleBatch batch2(2, {{1, WordFromInt(12)},
+                        {1, WordFromInt(3)},
+                        {2, WordFromInt(4)}});
   t.MergeBatch(batch2);
   EXPECT_EQ(t.rows().size(), 2u);
   ASSERT_EQ(t.delta_size(), 1u);
-  EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 3);
+  EXPECT_EQ(IntFromWord(t.delta()[0][1]), 3);
   // Stored row reflects the best.
   bool found = false;
   for (uint64_t r = 0; r < t.rows().size(); ++r) {
@@ -180,28 +182,28 @@ TEST_P(RecursiveTableModes, BatchDeltaIsPerGroup) {
   // value), not m rows — the amplification guard.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
                    false, Opts());
-  std::vector<TupleBuf> batch;
+  TupleBatch batch(2);
   for (int i = 20; i >= 1; --i) {
-    batch.push_back({7, WordFromInt(i)});
+    batch.Append({7, WordFromInt(i)});
   }
   t.MergeBatch(batch);
   ASSERT_EQ(t.delta_size(), 1u);
-  EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 1);
+  EXPECT_EQ(IntFromWord(t.delta()[0][1]), 1);
 }
 
 TEST_P(RecursiveTableModes, MaxMirrorsMin) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMax, 2), 0,
                    false, Opts());
-  std::vector<TupleBuf> b1 = {{1, WordFromInt(5)}};
+  TupleBatch b1(2, {{1, WordFromInt(5)}});
   t.MergeBatch(b1);
   t.ClearDelta();
-  std::vector<TupleBuf> b2 = {{1, WordFromInt(3)}};
+  TupleBatch b2(2, {{1, WordFromInt(3)}});
   t.MergeBatch(b2);
   EXPECT_EQ(t.delta_size(), 0u);
-  std::vector<TupleBuf> b3 = {{1, WordFromInt(8)}};
+  TupleBatch b3(2, {{1, WordFromInt(8)}});
   t.MergeBatch(b3);
   ASSERT_EQ(t.delta_size(), 1u);
-  EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 8);
+  EXPECT_EQ(IntFromWord(t.delta()[0][1]), 8);
 }
 
 TEST_P(RecursiveTableModes, MinDoubleValues) {
@@ -210,8 +212,8 @@ TEST_P(RecursiveTableModes, MinDoubleValues) {
                            {"v", ColumnType::kDouble}}),
                    SpecFor(AggFunc::kMin, 2, ColumnType::kDouble), 0, false,
                    Opts());
-  std::vector<TupleBuf> b = {{1, WordFromDouble(2.5)},
-                             {1, WordFromDouble(2.25)}};
+  TupleBatch b(2, {{1, WordFromDouble(2.5)},
+                   {1, WordFromDouble(2.25)}});
   t.MergeBatch(b);
   bool ok = false;
   for (uint64_t r = 0; r < t.rows().size(); ++r) {
@@ -224,9 +226,9 @@ TEST_P(RecursiveTableModes, TwoColumnGroupKeys) {
   // APSP-style: group (A, B), value D.
   RecursiveTable t("path", Schema::Ints(3), SpecFor(AggFunc::kMin, 3), 0,
                    false, Opts());
-  std::vector<TupleBuf> b = {{1, 2, WordFromInt(10)},
-                             {1, 3, WordFromInt(10)},
-                             {1, 2, WordFromInt(7)}};
+  TupleBatch b(3, {{1, 2, WordFromInt(10)},
+                   {1, 3, WordFromInt(10)},
+                   {1, 2, WordFromInt(7)}});
   t.MergeBatch(b);
   EXPECT_EQ(t.rows().size(), 2u);
   std::map<std::pair<uint64_t, uint64_t>, int64_t> got;
@@ -242,7 +244,7 @@ TEST_P(RecursiveTableModes, CountDistinctContributors) {
   RecursiveTable t("cnt", Schema::Ints(2), SpecFor(AggFunc::kCount, 2), 0,
                    false, Opts());
   // Wire: (group, contributor).
-  std::vector<TupleBuf> b = {{1, 100}, {1, 101}, {1, 100}, {2, 100}};
+  TupleBatch b(2, {{1, 100}, {1, 101}, {1, 100}, {2, 100}});
   t.MergeBatch(b);
   std::map<uint64_t, int64_t> counts;
   for (uint64_t r = 0; r < t.rows().size(); ++r) {
@@ -251,7 +253,7 @@ TEST_P(RecursiveTableModes, CountDistinctContributors) {
   EXPECT_EQ(counts[1], 2);
   EXPECT_EQ(counts[2], 1);
   t.ClearDelta();
-  std::vector<TupleBuf> b2 = {{1, 101}};
+  TupleBatch b2(2, {{1, 101}});
   t.MergeBatch(b2);
   EXPECT_EQ(t.delta_size(), 0u);  // Known contributor: no change.
 }
@@ -263,20 +265,20 @@ TEST_P(RecursiveTableModes, SumReplacesContributorValue) {
                    SpecFor(AggFunc::kSum, 2, ColumnType::kDouble), 0, false,
                    Opts());
   // Wire: (group, contributor, value).
-  std::vector<TupleBuf> b = {{1, 7, WordFromDouble(0.5)},
-                             {1, 8, WordFromDouble(0.25)}};
+  TupleBatch b(3, {{1, 7, WordFromDouble(0.5)},
+                   {1, 8, WordFromDouble(0.25)}});
   t.MergeBatch(b);
   ASSERT_EQ(t.rows().size(), 1u);
   EXPECT_DOUBLE_EQ(DoubleFromWord(t.rows().Row(0)[1]), 0.75);
   t.ClearDelta();
   // Contributor 7 revises its value: sum moves by the difference.
-  std::vector<TupleBuf> b2 = {{1, 7, WordFromDouble(0.1)}};
+  TupleBatch b2(3, {{1, 7, WordFromDouble(0.1)}});
   t.MergeBatch(b2);
   EXPECT_DOUBLE_EQ(DoubleFromWord(t.rows().Row(0)[1]), 0.35);
   ASSERT_EQ(t.delta_size(), 1u);
   t.ClearDelta();
   // Epsilon-sized change is absorbed.
-  std::vector<TupleBuf> b3 = {{1, 7, WordFromDouble(0.1 + 1e-12)}};
+  TupleBatch b3(3, {{1, 7, WordFromDouble(0.1 + 1e-12)}});
   t.MergeBatch(b3);
   EXPECT_EQ(t.delta_size(), 0u);
 }
@@ -284,9 +286,9 @@ TEST_P(RecursiveTableModes, SumReplacesContributorValue) {
 TEST_P(RecursiveTableModes, JoinIndexTracksAppendedRows) {
   RecursiveTable t("path", Schema::Ints(3), SpecFor(AggFunc::kMin, 3), 1,
                    /*needs_join_index=*/true, Opts());
-  std::vector<TupleBuf> b = {{1, 5, WordFromInt(3)},
-                             {2, 5, WordFromInt(4)},
-                             {3, 6, WordFromInt(1)}};
+  TupleBatch b(3, {{1, 5, WordFromInt(3)},
+                   {2, 5, WordFromInt(4)},
+                   {3, 6, WordFromInt(1)}});
   t.MergeBatch(b);
   std::set<uint64_t> srcs;
   t.ForEachJoinMatch(5, [&](TupleRef row) { srcs.insert(row[0]); });
@@ -301,11 +303,11 @@ TEST_P(RecursiveTableModes, RandomizedMinParityWithOracle) {
   std::map<uint64_t, int64_t> oracle;
   Rng rng(321);
   for (int batch_no = 0; batch_no < 50; ++batch_no) {
-    std::vector<TupleBuf> batch;
+    TupleBatch batch(2);
     for (int i = 0; i < 40; ++i) {
       uint64_t g = rng.Uniform(25);
       int64_t v = static_cast<int64_t>(rng.Uniform(1000));
-      batch.push_back({g, WordFromInt(v)});
+      batch.Append({g, WordFromInt(v)});
       auto [it, inserted] = oracle.try_emplace(g, v);
       if (!inserted && v < it->second) it->second = v;
     }
@@ -318,11 +320,17 @@ TEST_P(RecursiveTableModes, RandomizedMinParityWithOracle) {
   }
 }
 
+// The existence cache exists only on the B+-tree backend, so the flat
+// backend runs without it.
 INSTANTIATE_TEST_SUITE_P(
     Ablations, RecursiveTableModes,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(MergeIndexBackend::kFlat,
-                                         MergeIndexBackend::kBtree)),
+    ::testing::Values(
+        std::make_tuple(true, false, MergeIndexBackend::kFlat),
+        std::make_tuple(false, false, MergeIndexBackend::kFlat),
+        std::make_tuple(true, true, MergeIndexBackend::kBtree),
+        std::make_tuple(true, false, MergeIndexBackend::kBtree),
+        std::make_tuple(false, true, MergeIndexBackend::kBtree),
+        std::make_tuple(false, false, MergeIndexBackend::kBtree)),
     [](const ::testing::TestParamInfo<
         std::tuple<bool, bool, MergeIndexBackend>>& info) {
       std::string name = std::get<0>(info.param) ? "AggIndex" : "LinearScan";
@@ -340,13 +348,13 @@ TEST_P(RecursiveTableModes, NoneGrowsAcrossLoadBoundaryMidBatch) {
   // before and after each rehash.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
                    false, Opts());
-  std::vector<TupleBuf> batch;
+  TupleBatch batch(2);
   std::set<std::pair<uint64_t, uint64_t>> oracle;
   Rng rng(99);
   for (int i = 0; i < 4000; ++i) {
     uint64_t a = rng.Uniform(40);
     uint64_t b = rng.Uniform(40);  // 1600-pair universe: dense duplicates.
-    batch.push_back({a, b});
+    batch.Append({a, b});
     oracle.insert({a, b});
   }
   t.MergeBatch(batch);
@@ -370,18 +378,18 @@ TEST_P(RecursiveTableModes, MinInPlaceUpdateKeepsExistenceCacheCoherent) {
   // and better values after each in-place rewrite.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
                    false, Opts());
-  std::vector<TupleBuf> b1 = {{1, WordFromInt(50)}};
+  TupleBatch b1(2, {{1, WordFromInt(50)}});
   t.MergeBatch(b1);
   t.ClearDelta();
   for (int64_t v : {40, 40, 45, 30, 50, 30, 20}) {
-    std::vector<TupleBuf> b = {{1, WordFromInt(v)}};
+    TupleBatch b(2, {{1, WordFromInt(v)}});
     t.MergeBatch(b);
   }
   ASSERT_EQ(t.rows().size(), 1u);
   EXPECT_EQ(IntFromWord(t.rows().Row(0)[1]), 20);
   // The delta stream, deduped per batch, must never have gone backwards.
   t.ClearDelta();
-  std::vector<TupleBuf> worse = {{1, WordFromInt(21)}};
+  TupleBatch worse(2, {{1, WordFromInt(21)}});
   t.MergeBatch(worse);
   EXPECT_EQ(t.delta_size(), 0u);
 }
@@ -389,10 +397,10 @@ TEST_P(RecursiveTableModes, MinInPlaceUpdateKeepsExistenceCacheCoherent) {
 TEST_P(RecursiveTableModes, ProbeCmpsCounterAdvances) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
                    false, Opts());
-  std::vector<TupleBuf> batch;
+  TupleBatch batch(2);
   Rng rng(5);
   for (int i = 0; i < 2000; ++i) {
-    batch.push_back({rng.Uniform(30), rng.Uniform(30)});
+    batch.Append({rng.Uniform(30), rng.Uniform(30)});
   }
   t.MergeBatch(batch);
   // Dense duplicates guarantee occupied-slot comparisons on both backends;
@@ -403,13 +411,15 @@ TEST_P(RecursiveTableModes, ProbeCmpsCounterAdvances) {
 }
 
 TEST(RecursiveTableTest, CacheHitsAreCounted) {
+  // The §6.2.2 cache sits in front of the B+-tree backend only.
   EngineOptions opts;
   opts.enable_existence_cache = true;
+  opts.merge_index_backend = MergeIndexBackend::kBtree;
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
                    false, opts);
-  std::vector<TupleBuf> b1 = {{1, 2}};
+  TupleBatch b1(2, {{1, 2}});
   t.MergeBatch(b1);
-  std::vector<TupleBuf> b2 = {{1, 2}, {1, 2}, {1, 2}};
+  TupleBatch b2(2, {{1, 2}, {1, 2}, {1, 2}});
   t.MergeBatch(b2);
   EXPECT_GE(t.cache_hits(), 3u);
   EXPECT_EQ(t.merges(), 4u);
@@ -520,6 +530,49 @@ TEST_F(DistributorTest, PartialAggregationFoldsPerGroup) {
   EXPECT_EQ(IntFromWord(sent_[1].words[2]), 4);
   EXPECT_EQ(dist.tuples_folded(), 2u);
   EXPECT_EQ(dist.tuples_routed(), 2u);
+}
+
+TEST_F(DistributorTest, FoldIsReusedAcrossFlushes) {
+  // The fold's group map and row buffer are cleared at every Flush and
+  // reused. Iterations whose group counts rise above and fall below every
+  // earlier maximum (growth, then a large slot array holding only stale
+  // entries) must each route exactly one best row per group of that
+  // iteration, and nothing from an earlier one. The group keys repeat
+  // across iterations, so a stale entry would be found if clearing failed.
+  Distributor dist(&scc_, 4, /*self_worker=*/4, /*partial_agg=*/true,
+                   Unpack(), SelfSink());
+  Rng rng(17);
+  uint64_t folded = 0;
+  for (uint64_t groups : {5u, 300u, 7u, 1u, 2000u, 40u, 0u, 2500u, 3u}) {
+    sent_.clear();
+    std::map<std::pair<uint64_t, uint64_t>, int64_t> best;
+    for (uint64_t i = 0; i < groups * 4; ++i) {
+      const uint64_t g = rng.Uniform(groups);
+      const int64_t v = static_cast<int64_t>(rng.Uniform(1000));
+      uint64_t wire[3] = {g, g + 1, WordFromInt(v)};
+      auto [it, inserted] = best.try_emplace({g, g + 1}, v);
+      if (!inserted) {
+        ++folded;
+        it->second = std::min(it->second, v);
+      }
+      dist.EmitBatch(head_, wire, 1, 3);
+    }
+    dist.Flush();
+    // Each group's best goes to both replicas.
+    ASSERT_EQ(sent_.size(), 2 * best.size()) << groups << " groups";
+    for (uint32_t tag : {0u, 1u}) {
+      std::map<std::pair<uint64_t, uint64_t>, int64_t> got;
+      for (const SunkTuple& s : sent_) {
+        if (s.tag != tag) continue;
+        EXPECT_TRUE(
+            got.emplace(std::make_pair(s.words[0], s.words[1]),
+                        IntFromWord(s.words[2]))
+                .second);
+      }
+      EXPECT_EQ(got, best) << groups << " groups, replica " << tag;
+    }
+  }
+  EXPECT_EQ(dist.tuples_folded(), folded);
 }
 
 TEST_F(DistributorTest, NonAggregateTuplesShipOnFlush) {

@@ -67,11 +67,41 @@ TEST(TupleTest, RefEqualityAndHash) {
   EXPECT_EQ((TupleRef{a, 3}).Hash(), (TupleRef{b, 3}).Hash());
 }
 
-TEST(TupleTest, BufCopiesRef) {
+TEST(TupleTest, BatchCopiesRef) {
   uint64_t a[] = {7, 8};
-  TupleBuf buf{TupleRef{a, 2}};
+  TupleBatch batch(2);
+  batch.Append(TupleRef{a, 2});
   a[0] = 99;
-  EXPECT_EQ(buf.Ref(2)[0], 7u);
+  EXPECT_EQ(batch[0][0], 7u);
+}
+
+TEST(TupleTest, BatchPacksDenselyAndKeepsCapacityAcrossClear) {
+  TupleBatch batch(3);
+  const uint64_t block[] = {1, 2, 3, 4, 5, 6};
+  batch.Append(block, 2);
+  batch.Append({7, 8, 9});
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[1], (TupleRef{block + 3, 3}));
+  EXPECT_EQ(batch[2][2], 9u);
+  batch.MutableRow(0)[1] = 20;
+  EXPECT_EQ(batch[0][1], 20u);
+
+  const uint64_t* storage = batch[0].data;
+  batch.clear();
+  EXPECT_TRUE(batch.empty());
+  batch.Append({1, 1, 1});
+  EXPECT_EQ(batch[0].data, storage);  // Reused, not reallocated.
+
+  TupleBatch other(2);
+  other.Append({5, 6});
+  batch.swap(other);
+  EXPECT_EQ(batch.arity(), 2u);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(other.arity(), 3u);
+  EXPECT_EQ(other[0].data, storage);
+  other.Reset(4);
+  EXPECT_TRUE(other.empty());
+  EXPECT_EQ(other.arity(), 4u);
 }
 
 // --- B+-tree -----------------------------------------------------------

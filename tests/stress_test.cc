@@ -91,25 +91,29 @@ TEST(BTreeStress, MonotoneAndReverseInsertion) {
 }
 
 TEST(SpscStress, CacheLinePayloadTwoThreads) {
-  // The engine's actual element type (64-byte TupleBuf) under sustained
-  // two-thread traffic with a small ring (constant wraparound).
-  SpscQueue<TupleBuf> q(64);
+  // A one-cache-line element under sustained two-thread traffic with a
+  // small ring (constant wraparound).
+  struct Line {
+    uint64_t v[8];
+  };
+  static_assert(sizeof(Line) == 64);
+  SpscQueue<Line> q(64);
   constexpr uint64_t kN = 200000;
   std::thread producer([&q] {
     for (uint64_t i = 0; i < kN; ++i) {
-      TupleBuf buf{i, i * 3, i ^ 0xFF};
+      const Line buf{{i, i * 3, i ^ 0xFF}};
       while (!q.TryPush(buf)) std::this_thread::yield();
     }
   });
   uint64_t next = 0;
-  std::vector<TupleBuf> batch;
+  std::vector<Line> batch;
   while (next < kN) {
     batch.clear();
     if (q.PopBatch(&batch) == 0) {
       std::this_thread::yield();
       continue;
     }
-    for (const TupleBuf& buf : batch) {
+    for (const Line& buf : batch) {
       ASSERT_EQ(buf.v[0], next);
       ASSERT_EQ(buf.v[1], next * 3);
       ASSERT_EQ(buf.v[2], next ^ 0xFF);

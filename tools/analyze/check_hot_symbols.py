@@ -66,18 +66,11 @@ BANNED_TARGET_RE = re.compile(
 # Allocator family only; adding a lock/wait/sleep entry here is a review
 # failure, not a supported escape hatch.
 ALLOWED_CALLS = [
-    (r"SccExecutor::(DistSelfSinkThunk|LocalIteration|GatherAll)\(",
+    (r"SccExecutor::(DistSelfSinkThunk|GatherAll)\(",
      r"^operator (new|delete)",
-     "vector<TupleBuf> gather/scratch doubling branch inlined — amortized "
-     "O(1) per tuple, capacity retained across iterations"),
-    (r"Distributor::EmitResolved\(",
-     r"^operator new",
-     "partial-aggregation fold map node: one try_emplace per new group, "
-     "folded tuples hit the existing node"),
-    (r"Distributor::Flush\(",
-     r"^operator delete",
-     "partial.clear() at the iteration boundary frees fold-map nodes once "
-     "per flush, never per routed tuple"),
+     "TupleBatch gather-staging growth inlined (one resize per appended "
+     "tuple or ring block) — amortized O(1) per tuple, capacity retained "
+     "across iterations"),
     (r"RecursiveTable::Merge(None|Count|Sum|MinMaxBatchByScan)\(",
      r"^operator (new|delete)",
      "B+-tree node allocation on the non-default ablation-backend branch "

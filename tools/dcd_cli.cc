@@ -39,6 +39,8 @@
 //   --mode global|ssp|dws
 //   --slack N          SSP slack (default 5)
 //   --no-agg-index --no-cache --no-partial-agg   disable §6.2/Fig.7 opts
+//                      (the existence cache exists only on the btree
+//                      merge backend, so --no-cache matters only there)
 //   --merge-index-backend flat|btree   merge-path index family (default
 //                      flat; btree is the Table 4 ablation baseline)
 //   --steal on|off     skew-adaptive morsel stealing (default on; off is

@@ -686,9 +686,12 @@ int FuzzMain(int argc, char** argv) {
           out_dir_ready = true;
         }
         // Shrink. Each probe recomputes the candidate's oracle (the case
-        // changes under shrinking) and reruns the same engine config; only
-        // engine-side failures keep a candidate — a candidate whose
-        // program no longer analyzes or whose oracle fails is rejected.
+        // changes under shrinking) and reruns the same engine config in a
+        // fresh isolated process; the minimizer repeats a passing probe up
+        // to testing_gen::kAttemptsPerCandidate times, so a flaky failure
+        // still shrinks. Only engine-side failures keep a candidate — a
+        // candidate whose program no longer analyzes or whose oracle fails
+        // is rejected.
         auto still_fails = [&](const FuzzCase& candidate,
                                uint32_t probe_workers) {
           OracleRows probe_oracle;
